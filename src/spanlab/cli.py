@@ -21,16 +21,17 @@ from .lab import ExperimentConfig, run_experiment
 from .reference import DiskMetric, HalfPlaneMetric, LensMetric, halfdisk_metric
 from .shapes import domain_from_dict
 
-_RUN_KEYS = {
-    "experiment",
-    "domain",
-    "base_point",
-    "steps",
-    "orders",
-    "metric_tol",
-    "curvature_tol",
-    "clip_radius",
+# Numeric keys of a run config, each with its conversion to the
+# ``ExperimentConfig`` field of the same name.
+_NUMERIC_KEYS = {
+    "base_point": lambda bp: complex(bp[0], bp[1]),
+    "steps": lambda steps: tuple(float(t) for t in steps),
+    "orders": lambda orders: tuple(int(n) for n in orders),
+    "metric_tol": float,
+    "curvature_tol": float,
+    "clip_radius": float,
 }
+_RUN_KEYS = {"experiment", "domain", *_NUMERIC_KEYS}
 
 
 def _load_run_config(path: str) -> tuple[list[str], object, ExperimentConfig]:
@@ -51,14 +52,13 @@ def _load_run_config(path: str) -> tuple[list[str], object, ExperimentConfig]:
     bp = raw["base_point"]
     if not (isinstance(bp, (list, tuple)) and len(bp) == 2):
         raise ConfigError(f"{path}: base_point must be [re, im]")
-    kwargs = {"base_point": complex(bp[0], bp[1])}
-    if "steps" in raw:
-        kwargs["steps"] = tuple(float(t) for t in raw["steps"])
-    if "orders" in raw:
-        kwargs["orders"] = tuple(int(n) for n in raw["orders"])
-    for key in ("metric_tol", "curvature_tol", "clip_radius"):
+    kwargs = {}
+    for key, convert in _NUMERIC_KEYS.items():
         if key in raw:
-            kwargs[key] = float(raw[key])
+            try:
+                kwargs[key] = convert(raw[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{path}: malformed {key} ({exc})") from None
     config = ExperimentConfig(**kwargs)
     names = raw["experiment"]
     if names == "all":

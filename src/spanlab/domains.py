@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import DomainError, EmptyClipError
@@ -455,9 +456,9 @@ def hausdorff_distance_local(
 ) -> float:
     """Hausdorff distance between two point sets clipped to ``|z| <= radius``.
 
-    Brute-force over the clipped sets (desk scale).  Raises ``EmptyClipError``
-    when either clipped set is empty, since the clipped Hausdorff distance is
-    undefined there.
+    Nearest neighbours come from a k-d tree in each direction.  Raises
+    ``EmptyClipError`` when either clipped set is empty, since the clipped
+    Hausdorff distance is undefined there.
     """
     a = np.asarray(a_points, dtype=complex).ravel()
     b = np.asarray(b_points, dtype=complex).ravel()
@@ -465,17 +466,8 @@ def hausdorff_distance_local(
     b = b[np.abs(b) <= radius]
     if a.size == 0 or b.size == 0:
         raise EmptyClipError("clipped point set is empty")
-    pa = np.column_stack([a.real, a.imag])
-    pb = np.column_stack([b.real, b.imag])
-
-    def directed(p, q):
-        worst = 0.0
-        for start in range(0, p.shape[0], 2048):
-            block = cdist(p[start : start + 2048], q)
-            worst = max(worst, float(np.max(np.min(block, axis=1))))
-        return worst
-
-    return max(directed(pa, pb), directed(pb, pa))
+    pa, pb = np.column_stack([a.real, a.imag]), np.column_stack([b.real, b.imag])
+    return float(max(cKDTree(pb).query(pa)[0].max(), cKDTree(pa).query(pb)[0].max()))
 
 
 def curve_samples_in_ball(

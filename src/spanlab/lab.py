@@ -7,6 +7,12 @@ below the quantity being measured), and records a table of columns plus a set
 of named pass/fail gates.  Results serialize to CSV and a small hand-rolled
 SVG log-log plot; nothing here depends on a plotting stack.
 
+One routine, ``_walk``, takes the points from ``domains.inner_normal_sequence``
+(so a schedule that leaves the domain fails before any model is built), calls
+the experiment's ``measure(z)`` once per depth and stacks the returned rows,
+with the per-step ``degree``, ``eps_model`` and ``condition`` diagnostics.  An
+experiment is a ``measure`` closure plus the gates it reads off the columns.
+
 The four experiments:
 
 * ``metric_distance``    - s(z_t) * dist(z_t)^2 -> 1/4 at rate O(t)
@@ -19,6 +25,7 @@ The four experiments:
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -31,14 +38,21 @@ from .domains import (
     Domain,
     curve_samples_in_ball,
     hausdorff_distance_local,
+    inner_normal_sequence,
     limit_halfplane,
-    outward_normal,
     scaled_domain,
     scaling_map,
     signed_distance,
 )
 from .errors import ConfigError
 from .reference import DiskMetric, HalfPlaneMetric, LensMetric
+
+
+# Kernel comparison grid of the scaling experiment, in the frame of the outward
+# normal: real parts along the normal, imaginary parts along the tangent.
+_SCALING_GRID = (
+    np.linspace(-1.0, 0.5, 5)[:, None] + 1j * np.linspace(-0.75, 0.75, 5)
+).ravel()
 
 
 def default_schedule(start: float = 0.1, count: int = 10) -> tuple[float, ...]:
@@ -55,16 +69,16 @@ class ExperimentConfig:
     curvature_tol: float = 1e-10
     orders: tuple[int, ...] = (1, 2)
     clip_radius: float = 5.0
-    grid_x: tuple[float, float, int] = (-1.0, 0.5, 5)
-    grid_y: tuple[float, float, int] = (-0.75, 0.75, 5)
 
     def __post_init__(self):
         if len(self.steps) < 2:
             raise ConfigError("need at least two depth steps")
-        if any(t <= 0 for t in self.steps):
-            raise ConfigError("depth steps must be positive")
-        if list(self.steps) != sorted(self.steps, reverse=True):
-            raise ConfigError("depth steps must decrease")
+        if not all(0.0 < t < np.inf for t in self.steps):
+            raise ConfigError("depth steps must be positive and finite")
+        if any(b >= a for a, b in zip(self.steps, self.steps[1:])):
+            raise ConfigError("depth steps must strictly decrease")
+        if not self.orders or any(n < 1 for n in self.orders):
+            raise ConfigError("curvature orders must be a nonempty list of integers >= 1")
 
 
 @dataclass
@@ -98,8 +112,6 @@ class ExperimentResult:
         ]
 
     def save(self, directory: str) -> list[str]:
-        import os
-
         os.makedirs(directory, exist_ok=True)
         csv_path = os.path.join(directory, f"{self.name}.csv")
         write_csv(csv_path, self.columns)
@@ -141,37 +153,28 @@ def cauchy_decay(values, factor: float = 3.0) -> bool:
     return abs(v[-1] - v[-2]) <= factor * abs(v[-2] - v[-3]) + 1e-300
 
 
-def _normal_points(domain: Domain, p: complex, steps) -> tuple[complex, np.ndarray]:
-    nu = outward_normal(domain, p)
-    return nu, np.array([p - t * nu for t in steps], dtype=complex)
+def _walk(domain: Domain, config: ExperimentConfig, measure):
+    """Call ``measure(z) -> (model, row)`` at each depth and stack the results.
 
-
-def _cauchy_gate(gates: dict, label: str, values: np.ndarray) -> None:
-    gates[f"{label} increments Cauchy (factor 3)"] = cauchy_decay(values)
-
-
-class _Diagnostics:
-    """Per-step model diagnostics shared by all experiments."""
-
-    def __init__(self, count: int):
-        self.degree = np.zeros(count)
-        self.eps_model = np.zeros(count)
-        self.condition = np.zeros(count)
-
-    def record(self, i: int, model) -> None:
-        self.degree[i] = model.meta["degree"]
-        self.eps_model[i] = model.eps_model
-        self.condition[i] = model.meta["condition"]
-
-    def columns(self) -> dict[str, np.ndarray]:
-        return {"degree": self.degree, "eps_model": self.eps_model}
-
-    def meta(self) -> dict:
-        return {
-            "degrees": [int(d) for d in self.degree],
-            "eps_model": self.eps_model.tolist(),
-            "condition": self.condition.tolist(),
-        }
+    Returns the columns (``t``, then the row keys in order), the ``degree`` and
+    ``eps_model`` columns that close every table, and the diagnostics meta.
+    """
+    points = inner_normal_sequence(domain, complex(config.base_point), config.steps)
+    stacked: dict[str, list] = {"t": list(config.steps)}
+    diagnostics = []
+    for z in points:
+        model, row = measure(complex(z))
+        for key, value in row.items():
+            stacked.setdefault(key, []).append(value)
+        diagnostics.append((model.meta["degree"], model.eps_model, model.meta["condition"]))
+    columns = {key: np.array(values, dtype=float) for key, values in stacked.items()}
+    degree, eps_model, condition = np.array(diagnostics, dtype=float).T
+    meta = {
+        "degrees": degree.astype(int).tolist(),
+        "eps_model": eps_model.tolist(),
+        "condition": condition.tolist(),
+    }
+    return columns, {"degree": degree, "eps_model": eps_model}, meta
 
 
 # -- experiment 1: metric times squared distance ------------------------------
@@ -179,36 +182,26 @@ class _Diagnostics:
 
 def metric_distance_experiment(domain: Domain, config: ExperimentConfig) -> ExperimentResult:
     """s(z_t) * dist(z_t)^2 -> 1/4 along the inner normal."""
-    _, points = _normal_points(domain, config.base_point, config.steps)
-    t = np.array(config.steps, dtype=float)
-    metric = np.empty_like(t)
-    dist = np.empty_like(t)
-    diag = _Diagnostics(t.size)
-    for i, z in enumerate(points):
+
+    def measure(z):
         model = build_model(domain, probes=[z], watch_order=0, tol=config.metric_tol)
-        metric[i] = model.metric(complex(z))
-        dist[i] = -signed_distance(domain, complex(z))
-        diag.record(i, model)
-    product = metric * dist**2
-    gap = product - 0.25
+        s, dist = model.metric(z), -signed_distance(domain, z)
+        product = s * (dist * dist)
+        return model, {"metric": s, "dist": dist, "product": product, "gap": product - 0.25}
+
+    columns, diagnostics, meta = _walk(domain, config, measure)
+    t, product, gap = columns["t"], columns["product"], columns["gap"]
     order = decay_order(t, gap)
     gates = {
         f"|s*dist^2 - 1/4| <= 1e-2 at t={t[-1]:g}": bool(abs(gap[-1]) <= 1e-2),
         "decay order >= 0.9": bool(order >= 0.9),
+        "product increments Cauchy (factor 3)": cauchy_decay(product),
     }
-    _cauchy_gate(gates, "product", product)
     return ExperimentResult(
         name="metric_distance",
-        columns={
-            "t": t,
-            "metric": metric,
-            "dist": dist,
-            "product": product,
-            "gap": gap,
-            **diag.columns(),
-        },
+        columns={**columns, **diagnostics},
         gates=gates,
-        meta={"order": order, "plot_columns": ["gap"], **diag.meta()},
+        meta={"order": order, "plot_columns": ["gap"], **meta},
     )
 
 
@@ -217,46 +210,41 @@ def metric_distance_experiment(domain: Domain, config: ExperimentConfig) -> Expe
 
 def curvature_limit_experiment(domain: Domain, config: ExperimentConfig) -> ExperimentResult:
     """kappa_n(z_t) -> the disk's curvature value for each watched order."""
-    _, points = _normal_points(domain, config.base_point, config.steps)
-    t = np.array(config.steps, dtype=float)
-    orders = tuple(config.orders)
-    top = max(orders)
-    kappas = {n: np.empty_like(t) for n in orders}
-    diag = _Diagnostics(t.size)
-    for i, z in enumerate(points):
+    orders = config.orders
+
+    def measure(z):
         model = build_model(
-            domain, probes=[z], watch_order=top, tol=config.curvature_tol
+            domain, probes=[z], watch_order=max(orders), tol=config.curvature_tol
         )
-        profile = curvature_profile(model, complex(z), orders=orders)
+        profile = curvature_profile(model, z, orders=orders)
+        row = {}
         for n in orders:
-            kappas[n][i] = profile[n]
-        diag.record(i, model)
-    columns: dict[str, np.ndarray] = {"t": t}
+            row[f"kappa{n}"] = profile[n]
+            row[f"gap{n}"] = abs(profile[n] - burbea_bound(n)) / abs(burbea_bound(n))
+        return model, row
+
+    columns, diagnostics, meta = _walk(domain, config, measure)
+    t = columns["t"]
     gates: dict[str, bool] = {}
-    plot_cols = []
-    slopes = {}
-    pinned = {1: 1e-2, 2: 5e-2}
     for n in orders:
-        bound = burbea_bound(n)
-        gap = np.abs(kappas[n] - bound) / abs(bound)
-        columns[f"kappa{n}"] = kappas[n]
-        columns[f"gap{n}"] = gap
-        plot_cols.append(f"gap{n}")
-        slopes[n] = decay_order(t, gap)
-        tol = pinned.get(n, 5e-2)
+        bound, gap = burbea_bound(n), columns[f"gap{n}"]
+        tol = 1e-2 if n == 1 else 5e-2
         gates[f"|kappa{n} - ({bound:g})|/|{bound:g}| <= {tol:g} at t={t[-1]:g}"] = bool(
             gap[-1] <= tol
         )
         gates[f"kappa{n} gap decreasing over last 4 steps"] = bool(
             np.all(np.diff(gap[-4:]) < 0)
         )
-        _cauchy_gate(gates, f"kappa{n}", kappas[n])
-    columns.update(diag.columns())
+        gates[f"kappa{n} increments Cauchy (factor 3)"] = cauchy_decay(columns[f"kappa{n}"])
     return ExperimentResult(
         name="curvature_limit",
-        columns=columns,
+        columns={**columns, **diagnostics},
         gates=gates,
-        meta={"plot_columns": plot_cols, "gap_slopes": slopes, **diag.meta()},
+        meta={
+            "plot_columns": [f"gap{n}" for n in orders],
+            "gap_slopes": {n: decay_order(t, columns[f"gap{n}"]) for n in orders},
+            **meta,
+        },
     )
 
 
@@ -279,25 +267,24 @@ def localization_experiment(domain: Domain, config: ExperimentConfig) -> Experim
     if circle is None:
         raise ConfigError("localization needs a circular outer boundary")
     center, radius, _ = circle
-    nu, points = _normal_points(domain, p, config.steps)
-    spare = [curve.distance_to(p)[0] for curve in domain.holes]
-    reach = min(spare) if spare else radius
-    u_radius = reach / 2.0
+    u_radius = min([curve.distance_to(p)[0] for curve in domain.holes], default=radius) / 2.0
     if max(config.steps) >= u_radius:
         raise ConfigError("depth steps must stay inside the localization disk")
     lens = LensMetric.from_disks(center, radius, p, u_radius)
     outer_disk = DiskMetric(center, radius)
-    t = np.array(config.steps, dtype=float)
-    ratio = np.empty_like(t)
-    sandwich = np.empty_like(t)
-    diag = _Diagnostics(t.size)
-    for i, z in enumerate(points):
+
+    def measure(z):
         model = build_model(domain, probes=[z], watch_order=0, tol=config.metric_tol)
-        s_domain = model.metric(complex(z))
-        s_lens = float(lens.metric(complex(z)))
-        ratio[i] = s_lens / s_domain
-        sandwich[i] = outer_disk.metric(complex(z)) / s_lens
-        diag.record(i, model)
+        s_lens = float(lens.metric(z))
+        ratio = s_lens / model.metric(z)
+        return model, {
+            "ratio": ratio,
+            "gap": ratio - 1.0,
+            "sandwich": outer_disk.metric(z) / s_lens,
+        }
+
+    columns, diagnostics, meta = _walk(domain, config, measure)
+    t, ratio, sandwich = columns["t"], columns["ratio"], columns["sandwich"]
     # Textbook half-disk sandwich in first-power form: the density ratio of the
     # half-plane to the half-disk of radius u at depth t, (u^2-t^2)/(u^2+t^2).
     halfdisk_ratio = (u_radius**2 - t**2) / (u_radius**2 + t**2)
@@ -306,22 +293,15 @@ def localization_experiment(domain: Domain, config: ExperimentConfig) -> Experim
         "ratio >= 1 at every depth": bool(np.all(ratio >= 1.0 - 1e-12)),
         f"|ratio - 1| <= 1e-2 at t={t[-1]:g}": bool(abs(ratio[-1] - 1.0) <= 1e-2),
         "ratio - 1 <= 2 * (1 - sandwich) once t <= 0.02": bool(
-            np.all((ratio - 1.0)[small] <= 2.0 * (1.0 - sandwich[small]))
+            np.all(columns["gap"][small] <= 2.0 * (1.0 - sandwich[small]))
         ),
+        "ratio increments Cauchy (factor 3)": cauchy_decay(ratio),
     }
-    _cauchy_gate(gates, "ratio", ratio)
     return ExperimentResult(
         name="localization",
-        columns={
-            "t": t,
-            "ratio": ratio,
-            "gap": ratio - 1.0,
-            "sandwich": sandwich,
-            "halfdisk_ratio": halfdisk_ratio,
-            **diag.columns(),
-        },
+        columns={**columns, "halfdisk_ratio": halfdisk_ratio, **diagnostics},
         gates=gates,
-        meta={"u_radius": u_radius, "plot_columns": ["gap"], **diag.meta()},
+        meta={"u_radius": u_radius, "plot_columns": ["gap"], **meta},
     )
 
 
@@ -339,42 +319,34 @@ def scaling_kernel_experiment(domain: Domain, config: ExperimentConfig) -> Exper
     p = complex(config.base_point)
     patch = DefiningFunctionPatch.from_domain(domain, p)
     half = limit_halfplane(patch)
-    ref = HalfPlaneMetric(half.omega)
-    x0, x1, nx = config.grid_x
-    y0, y1, ny = config.grid_y
-    xs = np.linspace(x0, x1, int(nx))
-    ys = np.linspace(y0, y1, int(ny))
-    grid = ((xs[:, None] + 1j * ys[None, :]) * patch.omega).ravel()
-    ref_kernel = ref.kernel(grid[:, None], grid[None, :])
-
-    nu, points = _normal_points(domain, p, config.steps)
-    t = np.array(config.steps, dtype=float)
-    sup_gap = np.empty_like(t)
-    bd_gap = np.empty_like(t)
-    dropped = np.zeros(t.size, dtype=int)
-    diag = _Diagnostics(t.size)
+    grid = _SCALING_GRID * patch.omega
+    ref_kernel = HalfPlaneMetric(half.omega).kernel(grid[:, None], grid[None, :])
     line = half.boundary_samples(config.clip_radius, count=4096)
-    for i, z in enumerate(points):
-        mapping = scaling_map(domain, patch, complex(z))
-        blown = scaled_domain(domain, mapping)
+
+    def measure(z):
+        blown = scaled_domain(domain, scaling_map(domain, patch, z))
         inside = np.array([blown.contains(complex(w)) for w in grid])
-        dropped[i] = int(np.count_nonzero(~inside))
-        if dropped[i]:
+        dropped = int(np.count_nonzero(~inside))
+        if dropped:
             warnings.warn(
-                f"{dropped[i]} grid points fall outside the rescaled domain "
-                f"at t={t[i]:g}; dropped from the kernel comparison",
+                f"{dropped} grid points fall outside the rescaled domain "
+                f"at t={abs(p - z):g}; dropped from the kernel comparison",
                 RuntimeWarning,
-                stacklevel=2,
             )
         kept = grid[inside]
         model = build_model(blown, probes=kept, watch_order=0, tol=config.metric_tol)
-        kernel = model.kernel_matrix(kept, kept)
-        sup_gap[i] = float(np.max(np.abs(kernel - ref_kernel[np.ix_(inside, inside)])))
+        kernel_gap = model.kernel_matrix(kept, kept) - ref_kernel[np.ix_(inside, inside)]
         boundary = np.concatenate(
             [curve_samples_in_ball(c, config.clip_radius) for c in blown.curves]
         )
-        bd_gap[i] = hausdorff_distance_local(boundary, line, config.clip_radius)
-        diag.record(i, model)
+        return model, {
+            "sup_kernel_gap": float(np.max(np.abs(kernel_gap))),
+            "hausdorff": hausdorff_distance_local(boundary, line, config.clip_radius),
+            "dropped": dropped,
+        }
+
+    columns, diagnostics, meta = _walk(domain, config, measure)
+    t, sup_gap, bd_gap = columns["t"], columns["sup_kernel_gap"], columns["hausdorff"]
     c_fit = float(np.sum(bd_gap * t) / np.sum(t * t))
     gates = {
         f"sup kernel gap shrinks 4x ({sup_gap[0]:.2e} -> {sup_gap[-1]:.2e})": bool(
@@ -384,19 +356,13 @@ def scaling_kernel_experiment(domain: Domain, config: ExperimentConfig) -> Exper
             np.all(bd_gap <= 2.0 * c_fit * t)
         ),
         "grid points dropped only at the coarsest steps": bool(
-            np.all(np.diff(dropped) <= 0)
+            np.all(np.diff(columns["dropped"]) <= 0)
         ),
+        "sup kernel gap increments Cauchy (factor 3)": cauchy_decay(sup_gap),
     }
-    _cauchy_gate(gates, "sup kernel gap", sup_gap)
     return ExperimentResult(
         name="scaling_kernel",
-        columns={
-            "t": t,
-            "sup_kernel_gap": sup_gap,
-            "hausdorff": bd_gap,
-            "dropped": dropped.astype(float),
-            **diag.columns(),
-        },
+        columns={**columns, **diagnostics},
         gates=gates,
         meta={
             "c_fit": c_fit,
@@ -404,7 +370,7 @@ def scaling_kernel_experiment(domain: Domain, config: ExperimentConfig) -> Exper
             "gap_slope": decay_order(t, sup_gap),
             "hausdorff_slope": decay_order(t, bd_gap),
             "plot_columns": ["sup_kernel_gap", "hausdorff"],
-            **diag.meta(),
+            **meta,
         },
     )
 
@@ -439,13 +405,10 @@ def write_loglog_svg(
     """Minimal log-log scatter/line plot, written as a standalone SVG file."""
     margin = 64
     x = np.asarray(x, dtype=float)
-    finite = [
-        (label, np.asarray(y, dtype=float))
-        for label, y in series.items()
-    ]
+    series = {label: np.asarray(y, dtype=float) for label, y in series.items()}
     xs_all = np.log10(x)
     ys_all = np.concatenate([
-        np.log10(y[(y > 0) & np.isfinite(y)]) for _, y in finite if np.any(y > 0)
+        np.log10(y[(y > 0) & np.isfinite(y)]) for y in series.values() if np.any(y > 0)
     ] or [np.array([0.0])])
     x_lo, x_hi = float(np.min(xs_all)), float(np.max(xs_all))
     y_lo, y_hi = float(np.min(ys_all)), float(np.max(ys_all))
@@ -468,34 +431,29 @@ def write_loglog_svg(
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" '
         f'stroke="black"/>',
     ]
-    for d in range(int(np.floor(x_lo)), int(np.ceil(x_hi)) + 1):
-        if x_lo <= d <= x_hi:
-            parts.append(
-                f'<text x="{px(d):.1f}" y="{height - margin + 16}" '
-                f'text-anchor="middle">1e{d}</text>'
-            )
-    for d in range(int(np.floor(y_lo)), int(np.ceil(y_hi)) + 1):
-        if y_lo <= d <= y_hi:
-            parts.append(
-                f'<text x="{margin - 6}" y="{py(d):.1f}" text-anchor="end">1e{d}</text>'
-            )
-    for idx, (label, y) in enumerate(finite):
+    for d in range(int(np.ceil(x_lo)), int(np.floor(x_hi)) + 1):
+        parts.append(
+            f'<text x="{px(d):.1f}" y="{height - margin + 16}" '
+            f'text-anchor="middle">1e{d}</text>'
+        )
+    for d in range(int(np.ceil(y_lo)), int(np.floor(y_hi)) + 1):
+        parts.append(
+            f'<text x="{margin - 6}" y="{py(d):.1f}" text-anchor="end">1e{d}</text>'
+        )
+    for idx, (label, y) in enumerate(series.items()):
         color = _PALETTE[idx % len(_PALETTE)]
         mask = (y > 0) & np.isfinite(y)
         if not np.any(mask):
             continue
-        pts = " ".join(
-            f"{px(np.log10(xv)):.1f},{py(np.log10(yv)):.1f}"
+        xy = [
+            (f"{px(np.log10(xv)):.1f}", f"{py(np.log10(yv)):.1f}")
             for xv, yv in zip(x[mask], y[mask])
-        )
+        ]
+        pts = " ".join(f"{u},{v}" for u, v in xy)
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
-        for xv, yv in zip(x[mask], y[mask]):
-            parts.append(
-                f'<circle cx="{px(np.log10(xv)):.1f}" cy="{py(np.log10(yv)):.1f}" '
-                f'r="2.5" fill="{color}"/>'
-            )
+        parts.extend(f'<circle cx="{u}" cy="{v}" r="2.5" fill="{color}"/>' for u, v in xy)
         parts.append(
             f'<text x="{width - margin - 4}" y="{margin + 14 * (idx + 1)}" '
             f'text-anchor="end" fill="{color}">{label}</text>'

@@ -77,6 +77,22 @@ def test_run_rejects_unknown_keys(tmp_path, capsys):
     path.write_text(json.dumps({"experiment": "metric-distance", "domain": {}, "base_point": [1, 0], "bogus": 1}))
     assert main(["run", str(path)]) == 2
     assert "unknown keys" in capsys.readouterr().err
+    # known keys with malformed values are rejected the same way
+    disk = {"outer": {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0}}
+    for key, value in (
+        ("base_point", ["a", 0]),
+        ("steps", ["x", 0.1]),
+        ("steps", 0.1),
+        ("orders", ["one"]),
+        ("metric_tol", "tight"),
+        ("clip_radius", None),
+    ):
+        config = {"experiment": "metric-distance", "domain": disk, "base_point": [1, 0]}
+        config[key] = value
+        path.write_text(json.dumps(config))
+        assert main(["run", str(path)]) == 2, (key, value)
+        err = capsys.readouterr().err
+        assert f"malformed {key}" in err and "Traceback" not in err
 
 
 def test_run_rejects_invalid_json(tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 import spanlab as sl
 from spanlab.domains import BAND_FACTOR, curve_samples_in_ball
@@ -201,6 +202,19 @@ def test_hausdorff_distance_local():
     assert 0.3 <= d < 0.31
     with pytest.raises(sl.EmptyClipError):
         sl.hausdorff_distance_local(a + 10, b, 1.5)
+
+
+def test_hausdorff_distance_local_matches_brute_force(rng):
+    for size_a, size_b, radius in ((200, 300, 1.0), (1500, 40, 0.7), (1, 500, 2.0)):
+        a = rng.normal(size=size_a) + 1j * rng.normal(size=size_a)
+        b = 0.5 * (rng.normal(size=size_b) + 1j * rng.normal(size=size_b))
+        a[0] = 0.1  # keep both clipped sets nonempty
+        b[0] = -0.1j
+        ca, cb = a[np.abs(a) <= radius], b[np.abs(b) <= radius]
+        dist = cdist(np.column_stack([ca.real, ca.imag]), np.column_stack([cb.real, cb.imag]))
+        brute = max(dist.min(axis=1).max(), dist.min(axis=0).max())
+        got = sl.hausdorff_distance_local(a, b, radius)
+        assert got == pytest.approx(brute, rel=1e-14, abs=0.0)
 
 
 def test_curve_samples_in_ball(annulus_domain):

@@ -46,18 +46,27 @@ def test_default_schedule():
 
 
 def test_config_rejects_single_step():
-    with pytest.raises(sl.ConfigError):
-        sl.ExperimentConfig(base_point=1.0, steps=(0.1,))
+    # too few steps, or no curvature order at all
+    for kwargs in ({"steps": (0.1,)}, {"orders": ()}):
+        with pytest.raises(sl.ConfigError):
+            sl.ExperimentConfig(base_point=1.0, **kwargs)
 
 
 def test_config_rejects_nonpositive_step():
-    with pytest.raises(sl.ConfigError):
-        sl.ExperimentConfig(base_point=1.0, steps=(0.1, 0.0))
+    for kwargs in (
+        {"steps": (0.1, 0.0)},
+        {"steps": (float("nan"), 0.1)},
+        {"orders": (0,)},
+        {"orders": (1, -2)},
+    ):
+        with pytest.raises(sl.ConfigError):
+            sl.ExperimentConfig(base_point=1.0, **kwargs)
 
 
 def test_config_rejects_nondecreasing_steps():
-    with pytest.raises(sl.ConfigError):
-        sl.ExperimentConfig(base_point=1.0, steps=(0.05, 0.1))
+    for steps in ((0.05, 0.1), (0.1, 0.1, 0.05)):
+        with pytest.raises(sl.ConfigError):
+            sl.ExperimentConfig(base_point=1.0, steps=steps)
 
 
 def test_decay_order_recovers_power():
@@ -131,6 +140,40 @@ def test_scaling_run(scaling_run):
     assert sup[-1] < sup[0] / 4.0
     assert scaling_run.columns["dropped"].max() == 0  # disk grid sits inside
     assert abs(scaling_run.meta["omega"][0] - 1.0) < 1e-9  # normal at z=1 is +1
+
+
+@pytest.mark.parametrize(
+    "fixture, names",
+    [
+        ("metric_run", ["t", "metric", "dist", "product", "gap", "degree", "eps_model"]),
+        ("curvature_run", ["t", "kappa1", "gap1", "degree", "eps_model"]),
+        (
+            "localization_run",
+            ["t", "ratio", "gap", "sandwich", "halfdisk_ratio", "degree", "eps_model"],
+        ),
+        ("scaling_run", ["t", "sup_kernel_gap", "hausdorff", "dropped", "degree", "eps_model"]),
+    ],
+)
+def test_columns_in_order(request, fixture, names):
+    result = request.getfixturevalue(fixture)
+    assert list(result.columns) == names
+    steps = len(result.columns["t"])
+    assert all(len(column) == steps for column in result.columns.values())
+    assert result.meta["degrees"] == result.columns["degree"].astype(int).tolist()
+    assert len(result.meta["eps_model"]) == len(result.meta["condition"]) == steps
+
+
+# localization is left out: its depths stay inside the localization disk,
+# which lies in the domain, so its schedule cannot leave the domain.
+@pytest.mark.parametrize("name", ["metric-distance", "curvature-limit", "scaling-kernel"])
+def test_schedule_leaving_domain_fails_before_any_build(name, disk_domain, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_model called before the schedule was checked")
+
+    monkeypatch.setattr("spanlab.lab.build_model", no_build)
+    config = sl.ExperimentConfig(base_point=1.0, steps=(2.5, 0.1))
+    with pytest.raises(sl.DomainError, match="step 2.5 leaves the domain"):
+        sl.run_experiment(name, disk_domain, config)
 
 
 def test_gate_lines_format(metric_run):
