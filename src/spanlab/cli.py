@@ -21,15 +21,29 @@ from .lab import ExperimentConfig, run_experiment
 from .reference import DiskMetric, HalfPlaneMetric, LensMetric, halfdisk_metric
 from .shapes import domain_from_dict
 
+
+def _number(value, kind: type = float):
+    """A JSON number of ``kind``; ``bool`` and, for ``int``, 1.7 are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _numbers(value, kind: type = float) -> tuple:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON array, got {value!r}")
+    return tuple(_number(v, kind) for v in value)
+
+
 # Numeric keys of a run config, each with its conversion to the
 # ``ExperimentConfig`` field of the same name.
 _NUMERIC_KEYS = {
-    "base_point": lambda bp: complex(bp[0], bp[1]),
-    "steps": lambda steps: tuple(float(t) for t in steps),
-    "orders": lambda orders: tuple(int(n) for n in orders),
-    "metric_tol": float,
-    "curvature_tol": float,
-    "clip_radius": float,
+    "base_point": lambda bp: complex(*_numbers(bp)),
+    "steps": _numbers,
+    "orders": lambda orders: _numbers(orders, int),
+    "metric_tol": _number,
+    "curvature_tol": _number,
+    "clip_radius": _number,
 }
 _RUN_KEYS = {"experiment", "domain", *_NUMERIC_KEYS}
 
@@ -57,7 +71,7 @@ def _load_run_config(path: str) -> tuple[list[str], object, ExperimentConfig]:
         if key in raw:
             try:
                 kwargs[key] = convert(raw[key])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{path}: malformed {key} ({exc})") from None
     config = ExperimentConfig(**kwargs)
     names = raw["experiment"]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import zpstrf
 
 
 def hermitize(a: np.ndarray) -> tuple[np.ndarray, float]:
@@ -30,42 +31,21 @@ def pivoted_cholesky(a: np.ndarray, drop_tol: float = 1e-13):
     """Diagonal-pivoted Cholesky of a Hermitian positive semidefinite matrix.
 
     Returns ``(perm, L, pivots)`` with ``A[perm][:, perm] ~= L @ L.conj().T``.
-    ``L`` has ``r`` columns where ``r`` is the numerical rank: the elimination
-    stops at the first pivot below ``drop_tol`` times the largest pivot (or at
-    a nonpositive pivot).  ``pivots`` holds the accepted pivot values in order,
-    so ``pivots[0] / pivots[-1]`` estimates the retained condition number.
+    ``L`` has ``r`` columns where ``r`` is the numerical rank: LAPACK's ``zpstrf``
+    stops at the first pivot at or below ``drop_tol`` times the largest diagonal
+    entry.  ``pivots`` holds the accepted pivot values in order, so
+    ``pivots[0] / pivots[-1]`` estimates the retained condition number.
     """
-    work = np.array(a, dtype=complex)
-    n = work.shape[0]
-    if work.shape != (n, n):
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[0]
+    if a.shape != (n, n):
         raise ValueError("matrix must be square")
-    perm = np.arange(n)
-    L = np.zeros((n, n), dtype=complex)
-    pivots = []
-    max_pivot = None
-    rank = n
-    for k in range(n):
-        diag = np.real(np.diagonal(work))
-        j = k + int(np.argmax(diag[k:]))
-        piv = diag[j]
-        if max_pivot is None:
-            max_pivot = piv
-        if piv <= 0.0 or (max_pivot > 0.0 and piv <= drop_tol * max_pivot):
-            rank = k
-            break
-        if j != k:
-            work[[k, j], :] = work[[j, k], :]
-            work[:, [k, j]] = work[:, [j, k]]
-            L[[k, j], :k] = L[[j, k], :k]
-            perm[[k, j]] = perm[[j, k]]
-        root = np.sqrt(piv)
-        L[k, k] = root
-        if k + 1 < n:
-            col = work[k + 1 :, k] / root
-            L[k + 1 :, k] = col
-            work[k + 1 :, k + 1 :] -= np.outer(col, col.conj())
-        pivots.append(float(piv))
-    return perm, L[:, :rank], np.asarray(pivots)
+    top = float(np.max(np.real(np.diagonal(a)))) if n else 0.0
+    if top <= 0.0:
+        return np.arange(n), np.zeros((n, 0), dtype=complex), np.zeros(0)
+    c, piv, rank, _ = zpstrf(a, tol=drop_tol * top, lower=1)
+    L = np.tril(c[:, :rank])
+    return piv - 1, L, np.abs(np.diagonal(L)) ** 2
 
 
 def whiten_cholesky(L: np.ndarray, perm: np.ndarray, vectors: np.ndarray) -> np.ndarray:

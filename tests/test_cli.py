@@ -86,6 +86,12 @@ def test_run_rejects_unknown_keys(tmp_path, capsys):
         ("orders", ["one"]),
         ("metric_tol", "tight"),
         ("clip_radius", None),
+        ("orders", "12"),
+        ("orders", [1.7]),
+        ("steps", [True, 0.5]),
+        ("metric_tol", True),
+        ("base_point", [True, 0]),
+        ("clip_radius", 10**400),
     ):
         config = {"experiment": "metric-distance", "domain": disk, "base_point": [1, 0]}
         config[key] = value

@@ -6,6 +6,8 @@ Gram routes against each other, then kernel models against closed forms and
 against their own defining identities.
 """
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -99,6 +101,35 @@ def test_diagonal_route_matches_dense_route(annulus_domain):
     assert np.max(np.abs(off)) < 1e-12 * np.max(diag)
 
 
+_PI = Decimal("3.1415926535897932384626433827950288419716939937510")
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [sl.annulus(0.5), sl.annulus(0.9), sl.annulus(1.25, outer_radius=2.5, center=1 - 1j)],
+    ids=["annulus-0.5", "annulus-0.9", "annulus-affine"],
+)
+def test_gram_diagonal_closed_form_at_high_degree(domain):
+    # 40-digit oracle from the same float radii and scales: exponents near
+    # 1.3e5 amplify any rounding of the ratios R/r_out and sigma/r_in.
+    degree = 65536
+    blocks = sl.build_blocks(domain, degree)
+    diag = sl.gram_diagonal(domain, blocks)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        r_out = Decimal(domain.outer.circle_data()[1])
+        r_in = Decimal(domain.holes[0].circle_data()[1])
+        big_r, sigma = Decimal(blocks[0].scale), Decimal(blocks[1].scale)
+        for m in (0, 7, 4095, 65535):
+            k = 2 * m + 2
+            want = _PI * big_r**2 / (m + 1) * ((r_out / big_r) ** k - (r_in / big_r) ** k)
+            assert abs(diag[m] / float(want) - 1.0) <= 1e-14, m
+        for m in (2, 9, 4097, 65537):
+            k = 2 * m - 2
+            want = _PI * sigma**2 / (m - 1) * ((sigma / r_in) ** k - (sigma / r_out) ** k)
+            assert abs(diag[degree + m - 2] / float(want) - 1.0) <= 1e-14, m
+
+
 def test_zero_periods_on_annulus(annulus_domain):
     blocks = sl.build_blocks(annulus_domain, 8, [6])
     assert sl.zero_period_residual(annulus_domain, blocks) < 1e-12
@@ -119,10 +150,11 @@ def test_spot_check_rejects_nonsymmetric_domain():
         sl.spot_check_offdiagonal(dom, blocks, fake_diag, pairs=20)
 
 
-def test_gram_area_rejects_nonsymmetric_domain():
+@pytest.mark.parametrize("gram", [sl.gram_area_circular, sl.gram_diagonal])
+def test_gram_area_rejects_nonsymmetric_domain(gram):
     dom = sl.ellipse(semi_axes=(1.0, 0.6))
     with pytest.raises(sl.ConfigError):
-        sl.gram_area_circular(dom, sl.build_blocks(dom, 4))
+        gram(dom, sl.build_blocks(dom, 4))
 
 
 def test_rank_zero_gram_signals():

@@ -19,7 +19,11 @@ def random_psd(rng, n, rank=None):
     return b @ b.conj().T
 
 
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
+# Sizes past LAPACK's block size (64) take zpstrf's blocked path.
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.one_of(st.integers(1, 12), st.sampled_from([100, 257, 300])),
+)
 def test_pivoted_cholesky_reconstructs(seed, n):
     rng = np.random.default_rng(seed)
     a = random_psd(rng, n)
@@ -29,12 +33,13 @@ def test_pivoted_cholesky_reconstructs(seed, n):
     assert np.all(np.diff(pivots) <= 1e-12 * pivots[0])
 
 
-@given(seed=st.integers(0, 2**32 - 1))
-def test_pivoted_cholesky_drops_deficient_rank(seed):
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(8, 5), (200, 120)]))
+def test_pivoted_cholesky_drops_deficient_rank(seed, shape):
+    n, rank = shape
     rng = np.random.default_rng(seed)
-    a = random_psd(rng, 8, rank=5)
+    a = random_psd(rng, n, rank=rank)
     _, low, _ = pivoted_cholesky(a)
-    assert low.shape[1] == 5
+    assert low.shape[1] == rank
 
 
 def test_whiten_gives_orthonormal_coordinates(rng):
