@@ -177,10 +177,31 @@ def block_sizes(blocks: Sequence[BasisBlock]) -> int:
 # -- Gram assembly ----------------------------------------------------------
 
 
+_FLUSH = np.sqrt(np.finfo(float).tiny)
+
+
+def _flush_tiny(a: np.ndarray) -> np.ndarray:
+    """Zero, in place, every real or imaginary part of ``a`` below ``_FLUSH``.
+
+    A product of two parts that survive is at least ``tiny``, so every
+    product formed in a matrix product of flushed operands is a normal number.
+    """
+    parts = a.view(float)
+    parts[np.abs(parts) < _FLUSH] = 0.0
+    return a
+
+
 def gram_dense(
     domain: Domain, blocks: Sequence[BasisBlock], nodes: int | None = None
 ) -> tuple[np.ndarray, float]:
-    """Full Gram matrix by boundary quadrature; returns (matrix, hermitian residual)."""
+    """Full Gram matrix by boundary quadrature; returns (matrix, hermitian residual).
+
+    Real and imaginary parts below ``sqrt(tiny)`` ~ 1.5e-154 of the weighted
+    values and of the primitives are zeroed before the product, which keeps it
+    out of slow subnormal arithmetic.  That moves an entry by about 1e-150 at
+    most on a unit-sized domain: below one ulp of the diagonal, whose entries
+    are squared norms of ~1e-4 or more at the degrees the dense route uses.
+    """
     n = block_sizes(blocks)
     if nodes is None:
         nodes = max(2 * n + 64, max(c.nodes for c in domain.curves))
@@ -188,8 +209,10 @@ def gram_dense(
     for curve in domain.curves:
         c = curve if curve.nodes == nodes else curve.resample(nodes)
         values = evaluate_blocks(blocks, c.points, 0)
+        values *= c.complex_weights
         primitives = evaluate_blocks(blocks, c.points, -1)
-        gram += (values * c.complex_weights) @ primitives.conj().T / 2j
+        np.conj(primitives, out=primitives)
+        gram += _flush_tiny(values) @ _flush_tiny(primitives).T / 2j
     return hermitize(gram)
 
 
@@ -637,13 +660,20 @@ def default_probes(domain: Domain, count: int = 8) -> np.ndarray:
 
 
 def _inside_mask(domain: Domain, pts: np.ndarray) -> np.ndarray:
-    """Vectorized winding-number containment (no near-boundary refinement)."""
+    """Vectorized winding-number containment (no near-boundary refinement).
+
+    A point that coincides with a boundary node is not interior; its winding
+    number is undefined, so its row is replaced by a constant before dividing.
+    """
     inside = np.ones(pts.size, dtype=bool)
     for q, curve in enumerate(domain.curves):
         rel = curve.points[None, :] - pts[:, None]
-        turns = np.sum(np.angle(np.roll(rel, -1, axis=1) / rel), axis=1)
+        off_node = rel.all(axis=1)
+        rel[~off_node] = 1.0
+        following = np.concatenate((rel[:, 1:], rel[:, :1]), axis=1)
+        turns = np.sum(np.angle(following / rel), axis=1)
         winding = np.rint(turns / (2.0 * np.pi)).astype(int)
-        inside &= winding == (1 if q == 0 else 0)
+        inside &= (winding == (1 if q == 0 else 0)) & off_node
     return inside
 
 

@@ -23,8 +23,9 @@ def hermitize(a: np.ndarray) -> tuple[np.ndarray, float]:
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     if scale == 0.0:
         return a.copy(), 0.0
-    resid = float(np.max(np.abs(a - a.conj().T))) / scale
-    return 0.5 * (a + a.conj().T), resid
+    adjoint = a.conj().T
+    resid = float(np.max(np.abs(a - adjoint))) / scale
+    return 0.5 * (a + adjoint), resid
 
 
 def pivoted_cholesky(a: np.ndarray, drop_tol: float = 1e-13):

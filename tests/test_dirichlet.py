@@ -14,7 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import spanlab as sl
-from spanlab.dirichlet import block_sizes, evaluate_blocks
+from spanlab.dirichlet import _FLUSH, _flush_tiny, _inside_mask, block_sizes, evaluate_blocks
+from spanlab.linalg import hermitize, pivoted_cholesky
 
 interior_disk = st.tuples(st.floats(0.05, 0.8), st.floats(0.0, 2 * np.pi)).map(
     lambda rt: rt[0] * np.exp(1j * rt[1])
@@ -99,6 +100,58 @@ def test_diagonal_route_matches_dense_route(annulus_domain):
     assert np.max(np.abs(np.diag(dense).real - diag) / diag) < 1e-12
     off = dense - np.diag(np.diag(dense))
     assert np.max(np.abs(off)) < 1e-12 * np.max(diag)
+
+
+def test_gram_dense_flush_keeps_the_gram():
+    # Seen from the outer circle the pole base is at most 0.1/0.8 = 0.125, so
+    # high powers fall far below the flush threshold.
+    dom = sl.domain_from_dict(
+        {
+            "outer": {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0},
+            "holes": [{"kind": "circle", "center": [0.2, 0.0], "radius": 0.1}],
+            "anchors": [[0.2, 0.0]],
+        }
+    )
+    blocks = sl.build_blocks(dom, 256)
+    n = block_sizes(blocks)
+    nodes = max(2 * n + 64, max(c.nodes for c in dom.curves))
+    gram, _ = sl.gram_dense(dom, blocks)
+    reference = np.zeros((n, n), dtype=complex)
+    below = 0
+    for curve in dom.curves:
+        c = curve if curve.nodes == nodes else curve.resample(nodes)
+        weighted = evaluate_blocks(blocks, c.points, 0) * c.complex_weights
+        primitives = evaluate_blocks(blocks, c.points, -1)
+        for a in (weighted, primitives):
+            parts = a.view(float)
+            below += np.count_nonzero((parts != 0.0) & (np.abs(parts) < _FLUSH))
+        reference += weighted @ primitives.conj().T / 2j
+    reference, _ = hermitize(reference)
+    assert below > 0
+    d = np.sqrt(np.diag(reference).real)
+    assert np.max(np.abs(gram - reference) / np.outer(d, d)) < 1e-100
+    perm, L, _ = pivoted_cholesky(gram)
+    perm_ref, L_ref, _ = pivoted_cholesky(reference)
+    assert L.shape[1] == L_ref.shape[1]
+    assert np.array_equal(perm, perm_ref)
+
+
+_parts = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-150, 1e-150),
+    st.sampled_from([_FLUSH, -_FLUSH, np.nextafter(_FLUSH, 0.0), 5e-324]),
+)
+
+
+@given(pairs=st.lists(st.tuples(_parts, _parts), min_size=1, max_size=20))
+def test_flush_tiny_zeroes_only_parts_below_threshold(pairs):
+    original = np.array(pairs, dtype=float).view(complex)
+    a = original.copy()
+    assert _flush_tiny(a) is a
+    out = a.view(float)
+    kept = np.abs(original.view(float)) >= _FLUSH
+    assert np.array_equal(out[kept], original.view(float)[kept])
+    assert np.all(out[~kept] == 0.0)
 
 
 _PI = Decimal("3.1415926535897932384626433827950288419716939937510")
@@ -343,6 +396,16 @@ def test_interior_check_raises(annulus_model):
         check_interior=False,
     )
     assert np.isfinite(annulus_model_unchecked.metric(1.2))
+
+
+@pytest.mark.parametrize(
+    "domain", [sl.disk(), sl.ellipse(semi_axes=(1.0, 0.6))], ids=["disk", "ellipse"]
+)
+def test_boundary_nodes_are_not_interior(domain):
+    # The ellipse's probe ray ends exactly at node 0.
+    assert not np.any(_inside_mask(domain, domain.outer.points))
+    for p in sl.default_probes(domain):
+        assert domain.contains(complex(p), strict=True)
 
 
 def test_default_probes_are_interior(annulus_domain):
