@@ -30,10 +30,9 @@ def main() -> int:
     print(f"model: degree {model.meta['degree']}, eps_model {model.eps_model:.2e}")
 
     columns = {"r": radii}
+    profiles = [sl.curvature_profile(model, complex(r), orders=(1, 2, 3)) for r in radii]
     for n in (1, 2, 3):
-        columns[f"kappa{n}"] = np.array(
-            [sl.higher_order_curvature(model, complex(r), n) for r in radii]
-        )
+        columns[f"kappa{n}"] = np.array([profile[n] for profile in profiles])
     columns["margin1"] = -4.0 - columns["kappa1"]
 
     header = f"{'r':>8}  {'kappa1':>14}  {'kappa2':>14}  {'kappa3':>14}  {'margin1':>10}"

@@ -25,6 +25,14 @@ centered basis is exactly diagonal with closed-form entries (a few off-diagonal
 pairs are still integrated on every build, as a run-time check of the symmetry);
 that fast path makes basis sizes of ``10^5`` routine, which is what
 boundary-limit experiments need.
+
+Point evaluation goes through jets: ``BasisBlock.jet`` returns every derivative
+order up to ``n`` from one power ladder per block, and the model whitens the
+whole (size, n + 1) stack in one call, so the metric derivative matrix
+``[s_{j kbar}]`` costs one ladder per block rather than one per block and
+order.  Before evaluating, the model checks that the points are interior with
+``Domain.inside``, which is a closed form when every boundary curve is a
+circle.
 """
 
 from __future__ import annotations
@@ -53,26 +61,14 @@ def _int_power(base: np.ndarray, exponent: int) -> np.ndarray:
     return result
 
 
-def _power_ladder(base: np.ndarray, start: int, count: int) -> np.ndarray:
-    """Array of shape (count, len(base)) holding base**(start + i)."""
-    out = np.empty((count, base.size), dtype=complex)
+def _power_ladder(
+    base: np.ndarray, start: int, count: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Array of shape (count, len(base)) holding base**(start + i), in ``out`` if given."""
+    out = np.empty((count, base.size), dtype=complex) if out is None else out
     out[:] = base[None, :]
     out[0] = _int_power(base, start)
     np.cumprod(out, axis=0, out=out)
-    return out
-
-
-def _falling(powers: np.ndarray, order: int) -> np.ndarray:
-    out = np.ones(powers.shape, dtype=float)
-    for i in range(order):
-        out *= powers - i
-    return out
-
-
-def _rising(powers: np.ndarray, order: int) -> np.ndarray:
-    out = np.ones(powers.shape, dtype=float)
-    for i in range(order):
-        out *= powers + i
     return out
 
 
@@ -100,33 +96,52 @@ class BasisBlock:
         """Angular frequency of each function on circles about the center."""
         return self.powers if self.kind == "monomial" else -self.powers
 
-    def evaluate(self, z, order: int = 0) -> np.ndarray:
-        """(count, len(z)) array of order-th derivatives; order=-1 gives primitives."""
+    def jet(self, z, order: int) -> np.ndarray:
+        """(order + 1, count, len(z)) array of the derivatives of orders 0..order.
+
+        One power ladder serves every order.  A monomial's order-j row is the
+        ladder shifted down by j, times ``falling(m, j) / scale^j``; a pole's is
+        the ladder itself times ``(-1)^j rising(m, j) (z - a)^-j``.
+        """
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         u = self.base(z)
+        out = np.zeros((order + 1, self.count, z.size), dtype=complex)
+        powers = self.powers
+        factorial = np.ones(self.count)  # falling(m, j) or rising(m, j)
         if self.kind == "monomial":
-            if order == -1:
-                rows = _power_ladder(u, self.start + 1, self.count)
-                coeff = self.scale / (self.powers + 1.0)
-                return coeff[:, None] * rows
-            out = np.zeros((self.count, z.size), dtype=complex)
-            first = max(0, order - self.start)
-            live = self.count - first
-            if live > 0:
-                rows = _power_ladder(u, self.start + first - order, live)
-                coeff = _falling(self.powers[first:], order) / self.scale**order
-                out[first:] = coeff[:, None] * rows
+            low = max(self.start - order, 0)
+            ladder = _power_ladder(u, low, self.start + self.count - low)
+            for j in range(order + 1):
+                if j:
+                    factorial *= powers - (j - 1)
+                first = max(0, j - self.start)
+                if first >= self.count:
+                    continue
+                coeff = factorial[first:] / self.scale**j
+                top = self.start + first - j - low
+                rows = ladder[top : top + self.count - first]
+                np.multiply(coeff[:, None], rows, out=out[j, first:])
             return out
-        if order == -1:
-            rows = _power_ladder(u, self.start - 1, self.count)
+        _power_ladder(u, self.start, self.count, out=out[0])
+        for j in range(1, order + 1):
+            factorial *= powers + (j - 1)
+            coeff = (-1.0) ** j * factorial
+            np.multiply(coeff[:, None], out[0], out=out[j])
+            out[j] *= ((z - self.center) ** (-j))[None, :]
+        return out
+
+    def evaluate(self, z, order: int = 0) -> np.ndarray:
+        """(count, len(z)) array of order-th derivatives; order=-1 gives primitives."""
+        if order >= 0:
+            return self.jet(z, order)[order]
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        if self.kind == "monomial":
+            rows = _power_ladder(self.base(z), self.start + 1, self.count)
+            coeff = self.scale / (self.powers + 1.0)
+        else:
+            rows = _power_ladder(self.base(z), self.start - 1, self.count)
             coeff = -self.scale / (self.powers - 1.0)
-            return coeff[:, None] * rows
-        rows = _power_ladder(u, self.start, self.count)
-        if order == 0:
-            return rows
-        coeff = (-1.0) ** order * _rising(self.powers, order)
-        shift = (z - self.center) ** (-order)
-        return coeff[:, None] * rows * shift[None, :]
+        return coeff[:, None] * rows
 
 
 def build_blocks(
@@ -245,14 +260,42 @@ def gram_diagonal(domain: Domain, blocks: Sequence[BasisBlock]) -> np.ndarray:
     return diag
 
 
-def _single_row(blocks: Sequence[BasisBlock], index: int, z, order: int) -> np.ndarray:
-    """One basis function's values without materializing the whole block."""
-    for block in blocks:
-        if index < block.count:
-            lone = BasisBlock(block.kind, block.center, block.scale, block.start + index, 1)
-            return lone.evaluate(z, order)[0]
-        index -= block.count
-    raise IndexError(index)
+def _rows(blocks: Sequence[BasisBlock], indices, z, order: int) -> np.ndarray:
+    """Values (order 0) or primitives (order -1) of the basis functions at ``indices``.
+
+    Returns a (len(indices), len(z)) array without materializing whole blocks.
+    Each row is raised by binary exponentiation of its block's base, batched
+    over the rows: an element is the product of the same repeated squares, in
+    the same order, as ``BasisBlock.evaluate`` forms on a one-function block,
+    less the exact factor 1.0 that a monomial carries at order 0.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    indices = np.asarray(indices, dtype=int)
+    offsets = np.cumsum([0] + [b.count for b in blocks])
+    owner = np.searchsorted(offsets, indices, side="right") - 1
+    powers = np.array([b.start for b in blocks])[owner] + indices - offsets[owner]
+    monomial = np.array([b.kind == "monomial" for b in blocks])[owner]
+    e = np.where(monomial, powers + 1, powers - 1) if order == -1 else powers
+    # Largest exponents first, so the rows still being raised are a prefix.
+    rank = np.argsort(-e, kind="stable")
+    e = e[rank]
+    square = np.stack([b.base(z) for b in blocks])[owner[rank]]
+    raised = np.ones((indices.size, z.size), dtype=complex)
+    while e.size and e[0] > 0:
+        live, deep = np.count_nonzero(e > 0), np.count_nonzero(e > 1)
+        odd = (e[:live] & 1).astype(bool)[:, None]
+        np.multiply(raised[:live], square[:live], out=raised[:live], where=odd)
+        np.multiply(square[:deep], square[:deep], out=square[:deep])
+        e = e >> 1
+    result = np.empty_like(raised)
+    result[rank] = raised
+    if order == 0:
+        return result
+    scales = np.array([b.scale for b in blocks])[owner]
+    coeff = np.empty(indices.size)
+    coeff[monomial] = scales[monomial] / (powers[monomial] + 1.0)
+    coeff[~monomial] = -scales[~monomial] / (powers[~monomial] - 1.0)
+    return coeff[:, None] * result
 
 
 def spot_check_offdiagonal(
@@ -274,10 +317,9 @@ def spot_check_offdiagonal(
     freqs = np.concatenate([b.frequencies() for b in blocks])
     n = freqs.size
     node_counts = [c.nodes for c in domain.curves]
-    worst = 0.0
-    checked = 0
+    chosen = []
     attempts = 0
-    while checked < pairs and attempts < 50 * pairs:
+    while len(chosen) < pairs and attempts < 50 * pairs:
         attempts += 1
         j, k = rng.integers(0, n, size=2)
         if j == k:
@@ -285,14 +327,16 @@ def spot_check_offdiagonal(
         df = int(freqs[j] - freqs[k])
         if any(df % m == 0 for m in node_counts):
             continue
-        value = 0.0 + 0.0j
-        for curve in domain.curves:
-            gj = _single_row(blocks, int(j), curve.points, 0)
-            pk = _single_row(blocks, int(k), curve.points, -1)
-            value += np.sum(gj * np.conj(pk) * curve.complex_weights) / 2j
-        scale = float(np.sqrt(diag[j] * diag[k]))
-        worst = max(worst, abs(value) / scale)
-        checked += 1
+        chosen.append((j, k))
+    js, ks = np.array(chosen, dtype=int).reshape(-1, 2).T
+    values = np.zeros(js.size, dtype=complex)
+    for curve in domain.curves:
+        g = _rows(blocks, js, curve.points, 0)
+        p = _rows(blocks, ks, curve.points, -1)
+        values += np.sum(g * np.conj(p) * curve.complex_weights, axis=1) / 2j
+    worst = 0.0
+    for value, j, k in zip(values, js, ks):
+        worst = max(worst, abs(value) / float(np.sqrt(diag[j] * diag[k])))
     if worst > tol:
         raise QuadratureError(
             f"off-diagonal Gram entry {worst:.2e} on a rotation-invariant domain"
@@ -325,13 +369,12 @@ def zero_period_residual(
     worst = 0.0
     for curve in domain.curves:
         length = float(np.sum(curve.weights))
-        for index in indices:
-            f = int(freqs[index])
-            if f != 0 and f % curve.nodes == 0:
-                continue
-            g = _single_row(blocks, int(index), curve.points, 0)
-            period = np.sum(g * curve.complex_weights)
-            scale = 1.0 + float(np.max(np.abs(g))) * length
+        f = freqs[indices]
+        kept = indices[(f == 0) | (f % curve.nodes != 0)]
+        g = _rows(blocks, kept, curve.points, 0)
+        periods = np.sum(g * curve.complex_weights, axis=1)
+        scales = 1.0 + np.max(np.abs(g), axis=1) * length
+        for period, scale in zip(periods, scales):
             worst = max(worst, abs(period) / scale)
     return worst
 
@@ -407,6 +450,14 @@ class GramFactorization:
     perm: np.ndarray | None = None
     L: np.ndarray | None = None
     pivots: np.ndarray | None = None
+    inv_sqrt: np.ndarray | None = field(init=False, default=None, repr=False)
+
+    def __post_init__(self):
+        if self.kind == "diagonal":
+            # numpy divides a complex by a real-valued complex by multiplying
+            # with the reciprocal, so whitening by this product gives the
+            # quotient v / sqrt(diag) bit for bit, up to the sign of a zero part.
+            self.inv_sqrt = 1.0 / np.sqrt(self.diag)
 
     @classmethod
     def from_dense(cls, gram: np.ndarray) -> "GramFactorization":
@@ -432,8 +483,7 @@ class GramFactorization:
         """Apply the inverse half-factor; kernel sums become plain dot products."""
         if self.kind == "diagonal":
             v = np.asarray(vectors, dtype=complex)
-            scale = np.sqrt(self.diag)
-            return v / (scale[:, None] if v.ndim == 2 else scale)
+            return v * (self.inv_sqrt[:, None] if v.ndim == 2 else self.inv_sqrt)
         return whiten_cholesky(self.L, self.perm, vectors)
 
     def solve(self, vector: np.ndarray) -> np.ndarray:
@@ -462,7 +512,7 @@ class KernelModel:
     def _require_interior(self, pts: np.ndarray) -> None:
         if not self.check_interior:
             return
-        mask = _inside_mask(self.domain, pts)
+        mask = self.domain.inside(pts)
         if not np.all(mask):
             bad = pts[~mask][0]
             raise DomainError(f"evaluation point {bad} is not interior to the domain")
@@ -481,6 +531,15 @@ class KernelModel:
     def whitened_values(self, z, order: int = 0) -> np.ndarray:
         return self.factorization.whiten(self.basis_values(z, order))
 
+    def _whitened_jet(self, z: complex, order: int) -> np.ndarray:
+        """(order + 1, rank) whitened derivative vectors of orders 0..order at ``z``.
+
+        One jet per basis block and one whitening call for all orders.
+        """
+        self._require_interior(np.array([z], dtype=complex))
+        jet = np.concatenate([b.jet([z], order)[:, :, 0] for b in self.blocks], axis=1)
+        return self.factorization.whiten(jet.T).T
+
     def kernel_matrix(self, z, zeta) -> np.ndarray:
         """Matrix of kernel values, entry [i, j] = K(z_i, zeta_j)."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -495,10 +554,8 @@ class KernelModel:
 
     def kernel_mixed_derivative(self, z: complex, j: int, k: int) -> complex:
         """d^j/dz^j d^k/dzetabar^k of the kernel, evaluated on the diagonal."""
-        self._require_interior(np.array([z], dtype=complex))
-        uj = self.whitened_values([z], order=j)[:, 0]
-        uk = self.whitened_values([z], order=k)[:, 0]
-        return complex(np.sum(uj * np.conj(uk)))
+        u = self._whitened_jet(z, max(j, k))
+        return complex(np.sum(u[j] * np.conj(u[k])))
 
     def metric(self, z):
         """Span metric s(z) = pi K(z, z); returns a float for scalar input."""
@@ -515,9 +572,7 @@ class KernelModel:
         Built as ``pi U U^*`` from whitened derivative vectors, so it is
         positive semidefinite by construction.
         """
-        self._require_interior(np.array([z], dtype=complex))
-        rows = [self.whitened_values([z], order=d)[:, 0] for d in range(order + 1)]
-        u = np.array(rows)
+        u = self._whitened_jet(z, order)
         return np.pi * (u @ u.conj().T)
 
     def kernel_coefficients(self, zeta: complex) -> np.ndarray:
@@ -650,31 +705,13 @@ def default_probes(domain: Domain, count: int = 8) -> np.ndarray:
         direction = np.exp(2j * np.pi * q / count)
         radii = np.linspace(0.0, radius, 257)[1:]
         pts = center + radii * direction
-        inside = _inside_mask(domain, pts)
+        inside = domain.inside(pts)
         run = _longest_run(inside)
         if run is not None:
             probes.append(pts[(run[0] + run[1]) // 2])
     if not probes:
         raise ConfigError("no interior probe points found")
     return np.array(probes, dtype=complex)
-
-
-def _inside_mask(domain: Domain, pts: np.ndarray) -> np.ndarray:
-    """Vectorized winding-number containment (no near-boundary refinement).
-
-    A point that coincides with a boundary node is not interior; its winding
-    number is undefined, so its row is replaced by a constant before dividing.
-    """
-    inside = np.ones(pts.size, dtype=bool)
-    for q, curve in enumerate(domain.curves):
-        rel = curve.points[None, :] - pts[:, None]
-        off_node = rel.all(axis=1)
-        rel[~off_node] = 1.0
-        following = np.concatenate((rel[:, 1:], rel[:, :1]), axis=1)
-        turns = np.sum(np.angle(following / rel), axis=1)
-        winding = np.rint(turns / (2.0 * np.pi)).astype(int)
-        inside &= (winding == (1 if q == 0 else 0)) & off_node
-    return inside
 
 
 def _longest_run(mask: np.ndarray):

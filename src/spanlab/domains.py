@@ -16,6 +16,7 @@ boundary cycle of the domain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -184,6 +185,24 @@ def _segments_cross(pts_a: np.ndarray, pts_b: np.ndarray | None = None) -> bool:
     return bool(np.any(crossing))
 
 
+def _winding_mask(curves: Sequence[BoundaryCurve], pts: np.ndarray) -> np.ndarray:
+    """Vectorized winding-number containment (no near-boundary refinement).
+
+    A point that coincides with a boundary node is not interior; its winding
+    number is undefined, so its row is replaced by a constant before dividing.
+    """
+    inside = np.ones(pts.size, dtype=bool)
+    for q, curve in enumerate(curves):
+        rel = curve.points[None, :] - pts[:, None]
+        off_node = rel.all(axis=1)
+        rel[~off_node] = 1.0
+        following = np.concatenate((rel[:, 1:], rel[:, :1]), axis=1)
+        turns = np.sum(np.angle(following / rel), axis=1)
+        winding = np.rint(turns / (2.0 * np.pi)).astype(int)
+        inside &= (winding == (1 if q == 0 else 0)) & off_node
+    return inside
+
+
 def winding_number(curve: BoundaryCurve, z: complex) -> int:
     rel = curve.points - z
     rolled = np.roll(rel, -1)
@@ -297,6 +316,33 @@ class Domain:
                 w = winding_number(curve, z)
                 ok = (w == 1) if q == 0 else (w == 0)
             inside = inside and ok
+        return inside
+
+    @cached_property
+    def _circle_bounds(self) -> tuple[complex, float, list[tuple[complex, float]]] | None:
+        """``(c_0, r_0 - band, [(c_q, r_q + band) per hole])`` if every curve is a circle."""
+        data = [c.circle_data() for c in self.curves]
+        if any(d is None for d in data):
+            return None
+        (c0, r0, _), *holes = data
+        return c0, r0 - self.band, [(c, r + self.band) for c, r, _ in holes]
+
+    def inside(self, pts) -> np.ndarray:
+        """Vectorised interior test: a boolean per point.
+
+        When every curve is a circle this is the closed form ``|z - c_0| <
+        r_0 - band`` and ``|z - c_q| > r_q + band`` for each hole, as strict as
+        ``contains(strict=True)``.  Otherwise it is the winding number around
+        the sample nodes, which is a polygon test: within about a sagitta of
+        the boundary it can disagree with ``contains``.
+        """
+        pts = np.atleast_1d(np.asarray(pts, dtype=complex))
+        if self._circle_bounds is None:
+            return _winding_mask(self.curves, pts)
+        c0, below, holes = self._circle_bounds
+        inside = np.abs(pts - c0) < below
+        for c, above in holes:
+            inside &= np.abs(pts - c) > above
         return inside
 
     def on_boundary(self, z: complex, tol: float | None = None) -> bool:

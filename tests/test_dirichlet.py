@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import spanlab as sl
-from spanlab.dirichlet import _FLUSH, _flush_tiny, _inside_mask, block_sizes, evaluate_blocks
+from spanlab.dirichlet import _FLUSH, _flush_tiny, _rows, block_sizes, evaluate_blocks
 from spanlab.linalg import hermitize, pivoted_cholesky
 
 interior_disk = st.tuples(st.floats(0.05, 0.8), st.floats(0.0, 2 * np.pi)).map(
@@ -154,6 +154,64 @@ def test_flush_tiny_zeroes_only_parts_below_threshold(pairs):
     assert np.all(out[~kept] == 0.0)
 
 
+def _analytic_derivative(block, z, m, j):
+    """d^j/dz^j of one basis function by ``np.power``: the jet's oracle."""
+    if block.kind == "monomial":
+        if m < j:
+            return np.zeros_like(z)
+        falling = np.prod([m - i for i in range(j)])
+        return falling * np.power(z - block.center, m - j) / block.scale**m
+    rising = np.prod([m + i for i in range(j)])
+    return (-1.0) ** j * rising * block.scale**m * np.power(z - block.center, -(m + j))
+
+
+@given(
+    kind=st.sampled_from(["monomial", "pole"]),
+    start=st.integers(0, 3),
+    count=st.integers(1, 40),
+    order=st.integers(0, 4),
+    scale=st.floats(0.25, 2.0),
+    radii=st.lists(st.floats(0.5, 1.5), min_size=1, max_size=4),
+    angle=st.floats(0.0, 2 * np.pi),
+)
+def test_jet_matches_analytic_derivatives(kind, start, count, order, scale, radii, angle):
+    center = 0.3 - 0.2j
+    block = sl.BasisBlock(kind=kind, center=center, scale=scale, start=start, count=count)
+    z = center + scale * np.array(radii) * np.exp(1j * (angle + np.arange(len(radii))))
+    jet = block.jet(z, order)
+    assert jet.shape == (order + 1, count, z.size)
+    for j in range(order + 1):
+        for i, m in enumerate(block.powers):
+            want = _analytic_derivative(block, z, int(m), j)
+            assert np.all(np.abs(jet[j, i] - want) <= 1e-13 * np.abs(want)), (j, m)
+        assert np.array_equal(block.evaluate(z, j), block.jet(z, j)[j])
+
+
+_finite_parts = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-300]),
+)
+
+
+@given(
+    diag=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=12),
+    parts=st.lists(_finite_parts, min_size=72, max_size=72),
+)
+def test_reciprocal_whitening_equals_the_quotient(diag, parts):
+    d = np.array(diag)
+    v = np.array(parts).view(complex)[: 3 * d.size].reshape(d.size, 3)
+    fact = sl.GramFactorization.from_diagonal(d)
+    with np.errstate(over="ignore", under="ignore"):
+        want = v / np.sqrt(d)[:, None]
+        pairs = [(fact.whiten(v), want), (fact.whiten(v[:, 0]), v[:, 0] / np.sqrt(d))]
+    for got, quotient in pairs:
+        got_parts, want_parts = got.view(float), quotient.view(float)
+        assert np.array_equal(got_parts, want_parts)
+        # bit for bit, except that a zero part may carry the other sign
+        nonzero = want_parts != 0.0
+        assert np.array_equal(got_parts[nonzero].view(np.uint64), want_parts[nonzero].view(np.uint64))
+
+
 _PI = Decimal("3.1415926535897932384626433827950288419716939937510")
 
 
@@ -186,6 +244,23 @@ def test_gram_diagonal_closed_form_at_high_degree(domain):
 def test_zero_periods_on_annulus(annulus_domain):
     blocks = sl.build_blocks(annulus_domain, 8, [6])
     assert sl.zero_period_residual(annulus_domain, blocks) < 1e-12
+
+
+@pytest.mark.parametrize("order", [0, -1])
+def test_rows_equal_one_function_blocks(order):
+    # The spot check's and the period check's rows, against evaluating each
+    # basis function as a block of its own: bit for bit.
+    dom = sl.annulus(0.5)
+    blocks = sl.build_blocks(dom, 4096)
+    indices = [4095, 0, 1, 5, 100, 4096, 4097, 5000, 8191, 3, 2047]
+    offsets = np.cumsum([0] + [b.count for b in blocks])
+    for curve in dom.curves:
+        rows = _rows(blocks, indices, curve.points, order)
+        for row, index in zip(rows, indices):
+            q = int(np.searchsorted(offsets, index, side="right")) - 1
+            b = blocks[q]
+            lone = sl.BasisBlock(b.kind, b.center, b.scale, b.start + index - offsets[q], 1)
+            assert np.array_equal(row, lone.evaluate(curve.points, order)[0]), index
 
 
 def test_spot_check_passes_on_annulus(annulus_domain):
@@ -398,12 +473,30 @@ def test_interior_check_raises(annulus_model):
     assert np.isfinite(annulus_model_unchecked.metric(1.2))
 
 
+def test_interior_check_near_a_hole_between_nodes(annulus_model):
+    # Midway between two of the hole's 512 nodes the node polygon lies
+    # 9.4e-6 inside the circle, so a polygon test called this point interior.
+    z = (0.5 - 5e-6) * np.exp(1j * np.pi / 512)
+    assert not annulus_model.domain.contains(z)
+    with pytest.raises(sl.DomainError):
+        annulus_model.metric(z)
+
+
+@pytest.mark.parametrize("t", [1e-5, 1e-7])
+def test_interior_check_near_the_outer_circle_between_nodes(disk_model, t):
+    # Outside the node polygon (sagitta 1.9e-5) but inside the disk.
+    z = (1.0 - t) * np.exp(1j * np.pi / 512)
+    assert disk_model.domain.contains(z, strict=True)
+    assert disk_model.metric(z) > 0.0
+    assert np.all(np.isfinite(disk_model.metric_matrix(z, 2)))
+
+
 @pytest.mark.parametrize(
     "domain", [sl.disk(), sl.ellipse(semi_axes=(1.0, 0.6))], ids=["disk", "ellipse"]
 )
 def test_boundary_nodes_are_not_interior(domain):
     # The ellipse's probe ray ends exactly at node 0.
-    assert not np.any(_inside_mask(domain, domain.outer.points))
+    assert not np.any(domain.inside(domain.outer.points))
     for p in sl.default_probes(domain):
         assert domain.contains(complex(p), strict=True)
 

@@ -104,6 +104,59 @@ def test_containment_on_annulus(annulus_domain):
     assert annulus_domain.on_boundary(0.5 * np.exp(2.1j))
 
 
+_ECCENTRIC = {
+    "outer": {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0},
+    "holes": [{"kind": "circle", "center": [0.2, 0.0], "radius": 0.4}],
+    "anchors": [[0.2, 0.0]],
+}
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [sl.disk(), sl.annulus(0.5), sl.domain_from_dict(_ECCENTRIC)],
+    ids=["disk", "annulus-0.5", "eccentric"],
+)
+@given(
+    curve=st.integers(0, 1),
+    angle=st.floats(0.0, 2 * np.pi),
+    log_depth=st.floats(-9.0, -0.5),
+    outward=st.booleans(),
+)
+def test_inside_matches_exact_circles(domain, curve, angle, log_depth, outward):
+    circles = [c.circle_data()[:2] for c in domain.curves]
+    center, radius = circles[curve % len(circles)]
+    offset = 10.0**log_depth * domain.diameter * (1.0 if outward else -1.0)
+    z = center + (radius + offset) * np.exp(1j * angle)
+    gaps = [abs(z - c) - r for c, r in circles]  # signed distance to each circle
+    exact = gaps[0] < 0.0 and all(g > 0.0 for g in gaps[1:])
+    nearest = min(abs(g) for g in gaps)
+    got = bool(domain.inside([z])[0])
+    if nearest > 1.01 * domain.band:
+        assert got == exact == domain.contains(z, strict=True)
+    elif nearest < 0.99 * domain.band:
+        assert not got  # inside the band is boundary, as for contains(strict=True)
+
+
+_ELLIPSE = sl.ellipse(semi_axes=(1.0, 0.6))
+
+
+@given(x=st.floats(-1.1, 1.1), y=st.floats(-0.7, 0.7))
+def test_inside_is_the_winding_number_on_the_ellipse(x, y):
+    z = complex(x, y)
+    if np.any(_ELLIPSE.outer.points == z):
+        return  # test_boundary_nodes_are_not_interior covers the nodes
+    want = sl.winding_number(_ELLIPSE.outer, z) == 1
+    assert bool(_ELLIPSE.inside([z])[0]) == want
+
+
+def test_inside_is_the_winding_number_next_to_ellipse_edges():
+    nodes = _ELLIPSE.outer.points
+    midpoints = 0.5 * (nodes + np.roll(nodes, -1))
+    pts = np.concatenate([midpoints * (1 - 1e-12), midpoints * (1 + 1e-12), 0.999 * nodes])
+    want = [sl.winding_number(_ELLIPSE.outer, z) == 1 for z in pts]
+    assert np.array_equal(_ELLIPSE.inside(pts), want)
+
+
 def test_signed_distance_signs(annulus_domain):
     assert sl.signed_distance(annulus_domain, 0.75) < 0
     assert sl.signed_distance(annulus_domain, 1.1) > 0

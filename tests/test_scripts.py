@@ -1,0 +1,27 @@
+"""Smoke tests of the command-line scripts in ``scripts/``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_curvature_scan_runs(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    csv = tmp_path / "scan.csv"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "curvature_scan.py"), "--count", "5", "--csv", str(csv)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = csv.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+    assert len(rows) == 5
+    assert all(row["margin1"] > 0.0 for row in rows)
