@@ -13,37 +13,23 @@ from .curvature import (
     burbea_bound,
     curvature_profile,
     gaussian_curvature_fd_oracle,
-    higher_order_curvature,
 )
 from .dirichlet import build_model, default_probes
 from .errors import ConfigError, DomainError
 from .lab import ExperimentConfig, run_experiment
 from .reference import DiskMetric, HalfPlaneMetric, LensMetric, halfdisk_metric
-from .shapes import domain_from_dict
-
-
-def _number(value, kind: type = float):
-    """A JSON number of ``kind``; ``bool`` and, for ``int``, 1.7 are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, kind)):
-        raise TypeError(f"expected {kind.__name__}, got {value!r}")
-    return kind(value)
-
-
-def _numbers(value, kind: type = float) -> tuple:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a JSON array, got {value!r}")
-    return tuple(_number(v, kind) for v in value)
+from .shapes import domain_from_dict, json_number, json_numbers
 
 
 # Numeric keys of a run config, each with its conversion to the
 # ``ExperimentConfig`` field of the same name.
 _NUMERIC_KEYS = {
-    "base_point": lambda bp: complex(*_numbers(bp)),
-    "steps": _numbers,
-    "orders": lambda orders: _numbers(orders, int),
-    "metric_tol": _number,
-    "curvature_tol": _number,
-    "clip_radius": _number,
+    "base_point": lambda bp: complex(*json_numbers(bp)),
+    "steps": json_numbers,
+    "orders": lambda orders: json_numbers(orders, int),
+    "metric_tol": json_number,
+    "curvature_tol": json_number,
+    "clip_radius": json_number,
 }
 _RUN_KEYS = {"experiment", "domain", *_NUMERIC_KEYS}
 

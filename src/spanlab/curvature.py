@@ -38,15 +38,6 @@ def burbea_bound(order: int) -> float:
     return -float(product) ** 2
 
 
-def metric_derivative_matrix(source, z: complex, order: int) -> np.ndarray:
-    """The (n+1) x (n+1) Hermitian matrix [s_{j kbar}(z)] for j, k = 0..n.
-
-    ``source`` needs a ``metric_matrix(z, order)`` method; kernel models and
-    the closed-form reference metrics all provide one.
-    """
-    return source.metric_matrix(z, order)
-
-
 @dataclass(frozen=True)
 class CurvatureReport:
     point: complex
@@ -103,26 +94,19 @@ def curvature_from_matrix(
 
 
 def higher_order_curvature(source, z: complex, order: int = 1) -> float:
-    """Order-n curvature of a metric source at a point."""
-    return curvature_from_matrix(
-        metric_derivative_matrix(source, z, order), order, point=z
-    ).value
+    """Order-n curvature of a metric source at a point.
 
-
-def curvature_report(source, z: complex, order: int = 1) -> CurvatureReport:
-    """Like ``higher_order_curvature`` but returning the full diagnostics."""
-    return curvature_from_matrix(metric_derivative_matrix(source, z, order), order, point=z)
+    ``source`` needs a ``metric_matrix(z, order)`` method returning the
+    Hermitian matrix ``[s_{j kbar}(z)]``; kernel models and the closed-form
+    reference metrics all provide one.
+    """
+    return curvature_from_matrix(source.metric_matrix(z, order), order, point=z).value
 
 
 def curvature_profile(source, z: complex, orders=(1, 2, 3)) -> dict[int, float]:
     """All requested curvature orders from a single derivative matrix."""
-    top = max(orders)
-    s_matrix = metric_derivative_matrix(source, z, top)
+    s_matrix = source.metric_matrix(z, max(orders))
     return {n: curvature_from_matrix(s_matrix, n, point=z).value for n in orders}
-
-
-def gaussian_curvature(source, z: complex) -> float:
-    return higher_order_curvature(source, z, order=1)
 
 
 def gaussian_curvature_fd_oracle(source, z: complex, h: float = 5e-4) -> float:

@@ -581,10 +581,6 @@ class KernelModel:
         v = self.basis_values([zeta])[:, 0]
         return np.conj(self.factorization.solve(v))
 
-    def kernel_section(self, zeta: complex):
-        beta = self.kernel_coefficients(zeta)
-        return lambda z: np.tensordot(beta, self.basis_values(z), axes=(0, 0))
-
     # -- persistence --------------------------------------------------------
     #
     # Text format (JSON, one object per file):

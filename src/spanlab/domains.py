@@ -11,6 +11,9 @@ accurate; there is no polygonal approximation anywhere in the geometry layer.
 Orientation convention: the outer curve runs counterclockwise, hole curves run
 clockwise, so the concatenation of all curves is the positively oriented
 boundary cycle of the domain.
+
+``Domain.inside`` is the one interior test; every other routine that needs to
+know whether a point is interior asks it.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from scipy.spatial.distance import cdist
 from .errors import DomainError, EmptyClipError
 
 # Containment tolerance band: points closer than BAND_FACTOR * diameter to a
-# boundary curve are treated as boundary points by operations that require
-# strict interiority.
+# boundary curve are boundary points, and ``Domain.inside`` refuses them.
 BAND_FACTOR = 1e-8
 
 
@@ -91,6 +93,11 @@ class BoundaryCurve:
 
     def radius_bound(self) -> float:
         return float(np.max(np.abs(self.points - self.center_coefficient)))
+
+    @cached_property
+    def spacing(self) -> float:
+        """Longest chord between neighbouring sample nodes."""
+        return float(np.max(np.abs(np.roll(self.points, -1) - self.points)))
 
     def circle_data(self, tol: float = 1e-12):
         """Return ``(center, radius, orientation)`` if the curve is a circle.
@@ -185,29 +192,25 @@ def _segments_cross(pts_a: np.ndarray, pts_b: np.ndarray | None = None) -> bool:
     return bool(np.any(crossing))
 
 
-def _winding_mask(curves: Sequence[BoundaryCurve], pts: np.ndarray) -> np.ndarray:
-    """Vectorized winding-number containment (no near-boundary refinement).
+def _winding(curve: BoundaryCurve, pts: np.ndarray) -> np.ndarray:
+    """Winding number of ``curve``'s node polygon around each point.
 
-    A point that coincides with a boundary node is not interior; its winding
-    number is undefined, so its row is replaced by a constant before dividing.
+    The turning angles come from ``conj(rel) * next`` rather than a quotient,
+    so a point on a node gets a finite (meaningless) count instead of a
+    division by zero; ``Domain.inside`` decides such points by the side test.
     """
-    inside = np.ones(pts.size, dtype=bool)
-    for q, curve in enumerate(curves):
-        rel = curve.points[None, :] - pts[:, None]
-        off_node = rel.all(axis=1)
-        rel[~off_node] = 1.0
-        following = np.concatenate((rel[:, 1:], rel[:, :1]), axis=1)
-        turns = np.sum(np.angle(following / rel), axis=1)
-        winding = np.rint(turns / (2.0 * np.pi)).astype(int)
-        inside &= (winding == (1 if q == 0 else 0)) & off_node
-    return inside
+    rel = curve.points[None, :] - pts[:, None]
+    following = np.concatenate((rel[:, 1:], rel[:, :1]), axis=1)
+    turns = np.sum(np.angle(following * np.conj(rel)), axis=1)
+    return np.rint(turns / (2.0 * np.pi)).astype(int)
 
 
-def winding_number(curve: BoundaryCurve, z: complex) -> int:
-    rel = curve.points - z
-    rolled = np.roll(rel, -1)
-    angles = np.angle(rolled / rel)
-    return int(np.rint(np.sum(angles) / (2.0 * np.pi)))
+def _domain_side(curve: BoundaryCurve, z: complex, band: float) -> bool:
+    """Newton side test: ``z`` lies farther than ``band`` from ``curve``, on the domain's side."""
+    t = curve.nearest_parameter(z)
+    offset = z - complex(curve.point(t))
+    outward = -1j * complex(curve.derivative(t, 1))
+    return abs(offset) > band and (offset * np.conj(outward)).real < 0.0
 
 
 class Domain:
@@ -253,21 +256,18 @@ class Domain:
     def _validate(self) -> None:
         if self.outer.signed_area() <= 0.0:
             raise DomainError("outer curve must be counterclockwise")
+        firsts = np.array([hole.points[0] for hole in self.holes])
         for q, hole in enumerate(self.holes):
             if hole.signed_area() >= 0.0:
                 raise DomainError(f"hole curve {q} must be clockwise")
-            inside = [winding_number(self.outer, z) == 1 for z in hole.points[::8]]
-            if not all(inside):
+            if np.any(_winding(self.outer, hole.points[::8]) != 1):
                 raise DomainError(f"hole curve {q} is not inside the outer curve")
-            if winding_number(hole, self.anchors[q]) != -1:
+            if _winding(hole, np.array([self.anchors[q]]))[0] != -1:
                 raise DomainError(f"anchor {q} is not inside its hole")
-        for q, hole in enumerate(self.holes):
-            for p_idx in range(q + 1, len(self.holes)):
-                other = self.holes[p_idx]
-                if winding_number(hole, other.points[0]) != 0 or (
-                    winding_number(other, hole.points[0]) != 0
-                ):
-                    raise DomainError(f"holes {q} and {p_idx} overlap")
+            others = np.flatnonzero(_winding(hole, firsts) != 0)
+            others = others[others != q]
+            if others.size:
+                raise DomainError(f"holes {q} and {others[0]} overlap")
         for curve in self.curves:
             d = cdist(
                 np.column_stack([curve.points.real, curve.points.imag]),
@@ -300,23 +300,9 @@ class Domain:
                 best = (idx, t, complex(curve.point(t)), dist)
         return best
 
-    def contains(self, z: complex, strict: bool = False) -> bool:
-        idx, t, bpt, dist = self.nearest_boundary(z)
-        if strict and dist <= self.band:
-            return False
-        near = dist <= 1e-3 * self.diameter
-        inside = True
-        for q, curve in enumerate(self.curves):
-            if near and q == idx:
-                g1 = complex(curve.derivative(t, 1))
-                nu = -1j * g1 / abs(g1)
-                side = ((z - bpt) * np.conj(nu)).real
-                ok = side < 0.0  # outward normal positive means exterior
-            else:
-                w = winding_number(curve, z)
-                ok = (w == 1) if q == 0 else (w == 0)
-            inside = inside and ok
-        return inside
+    def contains(self, z: complex) -> bool:
+        """The scalar form of ``inside``."""
+        return bool(self.inside([z])[0])
 
     @cached_property
     def _circle_bounds(self) -> tuple[complex, float, list[tuple[complex, float]]] | None:
@@ -330,15 +316,24 @@ class Domain:
     def inside(self, pts) -> np.ndarray:
         """Vectorised interior test: a boolean per point.
 
+        Points within ``band`` of a boundary curve are boundary, not interior.
         When every curve is a circle this is the closed form ``|z - c_0| <
-        r_0 - band`` and ``|z - c_q| > r_q + band`` for each hole, as strict as
-        ``contains(strict=True)``.  Otherwise it is the winding number around
-        the sample nodes, which is a polygon test: within about a sagitta of
-        the boundary it can disagree with ``contains``.
+        r_0 - band`` and ``|z - c_q| > r_q + band`` for each hole.  Otherwise
+        each curve is decided by the winding number of its node polygon, except
+        within two node spacings of that curve, where the polygon can stray
+        from the curve: there the side of the Newton-refined nearest curve
+        point decides.
         """
         pts = np.atleast_1d(np.asarray(pts, dtype=complex))
         if self._circle_bounds is None:
-            return _winding_mask(self.curves, pts)
+            inside = np.ones(pts.shape, dtype=bool)
+            for q, curve in enumerate(self.curves):
+                ok = _winding(curve, pts) == (1 if q == 0 else 0)
+                gaps = np.min(np.abs(curve.points[None, :] - pts[:, None]), axis=1)
+                for i in np.flatnonzero(gaps < 2.0 * curve.spacing):
+                    ok[i] = _domain_side(curve, complex(pts[i]), self.band)
+                inside &= ok
+            return inside
         c0, below, holes = self._circle_bounds
         inside = np.abs(pts - c0) < below
         for c, above in holes:
@@ -379,13 +374,14 @@ def inner_normal_sequence(domain: Domain, p: complex, steps: Sequence[float]) ->
     Every step must land strictly inside the domain; otherwise the sequence is
     not usable as a family of scaling centers and a ``DomainError`` is raised.
     """
-    nu = outward_normal(domain, p)
-    pts = np.array([p - t * nu for t in steps], dtype=complex)
-    for t, z in zip(steps, pts):
-        if t <= 0.0:
-            raise DomainError("normal steps must be positive")
-        if not domain.contains(complex(z), strict=True):
-            raise DomainError(f"step {t} leaves the domain at {z}")
+    steps = np.asarray(steps, dtype=float)
+    if np.any(steps <= 0.0):
+        raise DomainError("normal steps must be positive")
+    pts = p - steps * outward_normal(domain, p)
+    outside = np.flatnonzero(~domain.inside(pts))
+    if outside.size:
+        i = outside[0]
+        raise DomainError(f"step {steps[i]} leaves the domain at {pts[i]}")
     return pts
 
 
@@ -435,7 +431,7 @@ def scaling_map(domain: Domain, psi, p_n: complex) -> AffineScalingMap:
     value = float(fn(p_n))
     if value >= 0.0:
         raise DomainError(f"scaling center {p_n} has psi={value:.3e}, need psi < 0")
-    if not domain.contains(complex(p_n), strict=True):
+    if not domain.contains(complex(p_n)):
         raise DomainError(f"scaling center {p_n} is not strictly interior")
     return AffineScalingMap(center=complex(p_n), scale=-value)
 

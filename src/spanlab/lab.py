@@ -325,7 +325,7 @@ def scaling_kernel_experiment(domain: Domain, config: ExperimentConfig) -> Exper
 
     def measure(z):
         blown = scaled_domain(domain, scaling_map(domain, patch, z))
-        inside = np.array([blown.contains(complex(w)) for w in grid])
+        inside = blown.inside(grid)
         dropped = int(np.count_nonzero(~inside))
         if dropped:
             warnings.warn(

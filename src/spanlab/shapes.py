@@ -21,6 +21,7 @@ rotation), ``fourier`` (coefficients as {"k": [re, im]}), ``polygon``
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -116,14 +117,40 @@ def smoothed_polygon_curve(
 # -- JSON loading -----------------------------------------------------------
 
 
+def json_number(value, kind: type = float):
+    """A finite JSON number of ``kind``; ``bool`` and, for ``int``, 1.7 are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    number = kind(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
+def json_numbers(value, kind: type = float, count: int | None = None) -> tuple:
+    """A JSON array of numbers of ``kind``, of length ``count`` if given."""
+    if not isinstance(value, (list, tuple)) or count not in (None, len(value)):
+        size = "a JSON array" if count is None else f"an array of {count} numbers"
+        raise TypeError(f"expected {size}, got {value!r}")
+    return tuple(json_number(v, kind) for v in value)
+
+
+def _read(value, where: str, convert=json_number, **kwargs):
+    """``convert(value, **kwargs)``, with a malformed value reported as a ``ConfigError``."""
+    try:
+        return convert(value, **kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: malformed value ({exc})") from None
+
+
 def _as_complex(value: Any, where: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) for v in value)
-    ):
-        raise ConfigError(f"{where}: expected a complex number as [re, im], got {value!r}")
-    return complex(value[0], value[1])
+    return complex(*_read(value, where, json_numbers, count=2))
+
+
+def _as_list(value: Any, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a JSON array, got {value!r}")
+    return value
 
 
 def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -142,8 +169,8 @@ def curve_from_dict(obj: dict, nodes: int, orientation: int, where: str) -> Boun
     if kind == "circle":
         _check_keys(obj, {"kind", "center", "radius"}, {"kind", "center", "radius"}, where)
         return circle_curve(
-            _as_complex(obj["center"], where),
-            float(obj["radius"]),
+            _as_complex(obj["center"], f"{where}.center"),
+            _read(obj["radius"], f"{where}.radius"),
             orientation=orientation,
             nodes=nodes,
         )
@@ -157,9 +184,9 @@ def curve_from_dict(obj: dict, nodes: int, orientation: int, where: str) -> Boun
         if orientation != 1:
             raise ConfigError(f"{where}: ellipse holes are not supported yet")
         dom = ellipse(
-            _as_complex(obj["center"], where),
-            tuple(float(v) for v in obj["semi_axes"]),
-            rotation=float(obj.get("rotation", 0.0)),
+            _as_complex(obj["center"], f"{where}.center"),
+            _read(obj["semi_axes"], f"{where}.semi_axes", json_numbers, count=2),
+            rotation=_read(obj.get("rotation", 0.0), f"{where}.rotation"),
             nodes=nodes,
         )
         return dom.outer
@@ -183,11 +210,11 @@ def curve_from_dict(obj: dict, nodes: int, orientation: int, where: str) -> Boun
             {"kind", "vertices"},
             where,
         )
-        verts = [_as_complex(v, f"{where}.vertices") for v in obj["vertices"]]
+        vertices = _as_list(obj["vertices"], f"{where}.vertices")
         return smoothed_polygon_curve(
-            verts,
-            smoothing=float(obj.get("smoothing", 0.02)),
-            modes=int(obj.get("modes", 64)),
+            [_as_complex(v, f"{where}.vertices[{i}]") for i, v in enumerate(vertices)],
+            smoothing=_read(obj.get("smoothing", 0.02), f"{where}.smoothing"),
+            modes=_read(obj.get("modes", 64), f"{where}.modes", kind=int),
             nodes=nodes,
         )
     raise ConfigError(f"{where}: unknown curve kind {kind!r}")
@@ -197,10 +224,10 @@ def domain_from_dict(obj: dict) -> Domain:
     if not isinstance(obj, dict):
         raise ConfigError("domain: expected a JSON object")
     _check_keys(obj, {"outer", "holes", "anchors", "nodes"}, {"outer"}, "domain")
-    nodes = int(obj.get("nodes", 512))
+    nodes = _read(obj.get("nodes", 512), "domain.nodes", kind=int)
     outer = curve_from_dict(obj["outer"], nodes, orientation=1, where="domain.outer")
-    holes_raw = obj.get("holes", [])
-    anchors_raw = obj.get("anchors", [])
+    holes_raw = _as_list(obj.get("holes", []), "domain.holes")
+    anchors_raw = _as_list(obj.get("anchors", []), "domain.anchors")
     if len(holes_raw) != len(anchors_raw):
         raise ConfigError("domain: need exactly one anchor per hole")
     holes = [

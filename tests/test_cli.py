@@ -99,6 +99,12 @@ def test_run_rejects_unknown_keys(tmp_path, capsys):
         assert main(["run", str(path)]) == 2, (key, value)
         err = capsys.readouterr().err
         assert f"malformed {key}" in err and "Traceback" not in err
+    # and so are malformed numbers inside the domain
+    bad_disk = {"outer": {"kind": "circle", "center": [0.0, 0.0], "radius": None}}
+    config = {"experiment": "metric-distance", "domain": bad_disk, "base_point": [1, 0]}
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path)]) == 2
+    assert "domain.outer.radius: malformed" in capsys.readouterr().err
 
 
 def test_run_rejects_invalid_json(tmp_path, capsys):

@@ -486,9 +486,22 @@ def test_interior_check_near_a_hole_between_nodes(annulus_model):
 def test_interior_check_near_the_outer_circle_between_nodes(disk_model, t):
     # Outside the node polygon (sagitta 1.9e-5) but inside the disk.
     z = (1.0 - t) * np.exp(1j * np.pi / 512)
-    assert disk_model.domain.contains(z, strict=True)
+    assert disk_model.domain.contains(z)
     assert disk_model.metric(z) > 0.0
     assert np.all(np.isfinite(disk_model.metric_matrix(z, 2)))
+
+
+def test_ellipse_model_accepts_points_between_nodes(ellipse_model):
+    # Midway between nodes, 2e-7 to 2e-4 inside the ellipse: the node polygon
+    # (sagitta up to 1.9e-5) refused the two shallower depths.
+    curve = ellipse_model.domain.outer
+    mid = curve.params + np.pi / curve.nodes
+    inward = 1j * curve.derivative(mid, 1) / np.abs(curve.derivative(mid, 1))
+    depths = np.array([2e-7, 2e-6, 2e-5, 2e-4])[:, None]
+    pts = (curve.point(mid) + depths * inward).ravel()
+    assert np.all(ellipse_model.domain.inside(pts))
+    assert not np.any(ellipse_model.domain.inside(curve.point(mid) - 2e-7 * inward))
+    assert np.all(ellipse_model.metric(pts) > 0.0)
 
 
 @pytest.mark.parametrize(
@@ -498,14 +511,14 @@ def test_boundary_nodes_are_not_interior(domain):
     # The ellipse's probe ray ends exactly at node 0.
     assert not np.any(domain.inside(domain.outer.points))
     for p in sl.default_probes(domain):
-        assert domain.contains(complex(p), strict=True)
+        assert domain.contains(complex(p))
 
 
 def test_default_probes_are_interior(annulus_domain):
     probes = sl.default_probes(annulus_domain)
     assert probes.size >= 4
     for p in probes:
-        assert annulus_domain.contains(complex(p), strict=True)
+        assert annulus_domain.contains(complex(p))
 
 
 def test_save_load_roundtrip(annulus_model, tmp_path):

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
@@ -46,12 +46,6 @@ def test_nearest_parameter_on_circle():
     dist, t = curve.distance_to(0.5 + 0.5j)
     assert abs(dist - (1.0 - abs(0.5 + 0.5j))) < 1e-12
     assert abs(np.asarray(curve.point(t)).item() - np.exp(1j * np.pi / 4)) < 1e-10
-
-
-def test_winding_number():
-    curve = sl.BoundaryCurve({0: 0.0, 1: 1.0})
-    assert sl.winding_number(curve, 0.3 + 0.1j) == 1
-    assert sl.winding_number(curve, 2.0) == 0
 
 
 # -- domain validation ----------------------------------------------------------
@@ -99,7 +93,7 @@ def test_containment_on_annulus(annulus_domain):
     assert annulus_domain.contains(0.75)
     assert not annulus_domain.contains(0.25)  # inside the hole
     assert not annulus_domain.contains(1.25)  # outside
-    assert not annulus_domain.contains(1.0, strict=True)  # on the boundary band
+    assert not annulus_domain.contains(1.0)  # on the boundary band
     assert annulus_domain.on_boundary(np.exp(0.3j))
     assert annulus_domain.on_boundary(0.5 * np.exp(2.1j))
 
@@ -132,29 +126,58 @@ def test_inside_matches_exact_circles(domain, curve, angle, log_depth, outward):
     nearest = min(abs(g) for g in gaps)
     got = bool(domain.inside([z])[0])
     if nearest > 1.01 * domain.band:
-        assert got == exact == domain.contains(z, strict=True)
+        assert got == exact == domain.contains(z)
     elif nearest < 0.99 * domain.band:
-        assert not got  # inside the band is boundary, as for contains(strict=True)
+        assert not got  # inside the band is boundary
 
 
 _ELLIPSE = sl.ellipse(semi_axes=(1.0, 0.6))
 
 
+def _ellipse_level(z):
+    """x^2 + (y/0.6)^2: below 1 exactly where the ellipse winds once round z."""
+    z = np.asarray(z, dtype=complex)
+    return z.real**2 + (z.imag / 0.6) ** 2
+
+
 @given(x=st.floats(-1.1, 1.1), y=st.floats(-0.7, 0.7))
 def test_inside_is_the_winding_number_on_the_ellipse(x, y):
     z = complex(x, y)
-    if np.any(_ELLIPSE.outer.points == z):
-        return  # test_boundary_nodes_are_not_interior covers the nodes
-    want = sl.winding_number(_ELLIPSE.outer, z) == 1
-    assert bool(_ELLIPSE.inside([z])[0]) == want
+    level = _ellipse_level(z)
+    # |grad level| < 4.5 on this box, so |level - 1| > 1e-6 puts z more than
+    # 2.2e-7 > band from the curve; closer points may be boundary
+    if abs(level - 1.0) > 1e-6:
+        assert bool(_ELLIPSE.inside([z])[0]) == (level < 1.0)
 
 
 def test_inside_is_the_winding_number_next_to_ellipse_edges():
+    # chord midpoints lie inside the curve by the sagitta (~1e-5 >> band), so
+    # the node polygon's winding number is wrong just outside them
     nodes = _ELLIPSE.outer.points
     midpoints = 0.5 * (nodes + np.roll(nodes, -1))
     pts = np.concatenate([midpoints * (1 - 1e-12), midpoints * (1 + 1e-12), 0.999 * nodes])
-    want = [sl.winding_number(_ELLIPSE.outer, z) == 1 for z in pts]
-    assert np.array_equal(_ELLIPSE.inside(pts), want)
+    assert np.array_equal(_ELLIPSE.inside(pts), _ellipse_level(pts) < 1.0)
+
+
+@settings(max_examples=200)
+@given(
+    angle=st.floats(0.0, 2 * np.pi),
+    log_depth=st.floats(-9.0, -0.5),
+    outward=st.booleans(),
+)
+def test_inside_is_exact_near_the_ellipse(angle, log_depth, outward):
+    # x = cos(s), y = 0.6 sin(s); points along the exact normal on either side
+    a, b = 1.0, 0.6
+    foot = complex(a * np.cos(angle), b * np.sin(angle))
+    normal = complex(b * np.cos(angle), a * np.sin(angle))
+    depth = 10.0**log_depth * _ELLIPSE.diameter
+    z = foot + (depth if outward else -depth) * normal / abs(normal)
+    exact = (z.real / a) ** 2 + (z.imag / b) ** 2 < 1.0
+    got = bool(_ELLIPSE.inside([z])[0])
+    if depth > 1.01 * _ELLIPSE.band:
+        assert got == exact
+    elif depth < 0.99 * _ELLIPSE.band:
+        assert not got  # inside the band is boundary
 
 
 def test_signed_distance_signs(annulus_domain):
@@ -328,10 +351,29 @@ def test_domain_dict_requires_anchor_per_hole():
 
 
 def test_domain_dict_complex_shape_checked():
-    bad = annulus_dict()
-    bad["anchors"] = [[0.0]]
-    with pytest.raises(sl.ConfigError):
-        sl.domain_from_dict(bad)
+    # every domain number is a finite JSON number of the right type and shape
+    ellipse = {"outer": {"kind": "ellipse", "center": [0, 0], "semi_axes": [1.0, 0.5]}}
+    for base, path, value in (
+        (annulus_dict(), ("anchors",), [[0.0]]),
+        (annulus_dict(), ("outer", "center"), [True, 0]),
+        (annulus_dict(), ("outer", "radius"), "1.0"),
+        (annulus_dict(), ("outer", "radius"), None),
+        (annulus_dict(), ("outer", "radius"), float("inf")),
+        (annulus_dict(), ("nodes",), "64"),
+        (annulus_dict(), ("nodes",), 64.9),
+        (annulus_dict(), ("holes",), {}),
+        (ellipse, ("outer", "semi_axes"), ["1", 0.5]),
+        (ellipse, ("outer", "semi_axes"), [1]),
+        (ellipse, ("outer", "rotation"), True),
+    ):
+        bad = json.loads(json.dumps(base))
+        *parents, key = path
+        target = bad
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        with pytest.raises(sl.ConfigError):
+            sl.domain_from_dict(bad)
 
 
 def test_load_domain_bad_json(tmp_path):

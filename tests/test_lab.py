@@ -203,3 +203,19 @@ def test_save_writes_csv_and_svg(metric_run, tmp_path):
     first = [open(p, "rb").read() for p in written]
     metric_run.save(str(tmp_path))
     assert [open(p, "rb").read() for p in written] == first
+
+
+def test_base_point_on_a_hole(annulus_domain):
+    # On the hole |z| = 1/2 of annulus(0.5) the domain lies outside the circle.
+    steps = (0.032, 0.016, 0.008)
+    points = sl.inner_normal_sequence(annulus_domain, 0.5, steps)
+    assert np.allclose(points, 0.5 + np.array(steps), rtol=0.0, atol=1e-15)
+    for t, z in zip(steps, points):
+        assert sl.signed_distance(annulus_domain, z) == pytest.approx(-t, abs=1e-12)
+    assert sl.outward_normal(annulus_domain, 0.5) == pytest.approx(-1.0, abs=1e-12)
+    config = sl.ExperimentConfig(base_point=0.5, steps=steps)
+    result = sl.run_experiment("metric-distance", annulus_domain, config)
+    assert result.gates["|s*dist^2 - 1/4| <= 1e-2 at t=0.008"]
+    # gap/t = -0.352, -0.423, -0.461: toward kappa/4 = -1/2 for a hole of radius 1/2
+    slope = result.columns["gap"] / result.columns["t"]
+    assert np.all(slope > -0.5) and np.all(np.diff(slope) < 0.0)
