@@ -122,7 +122,7 @@ def gaussian_curvature_fd_oracle(source, z: complex, h: float = 5e-4) -> float:
     metric_fn = source.metric if hasattr(source, "metric") else source
     domain = getattr(source, "domain", None)
     if domain is not None:
-        dist = domain.nearest_boundary(complex(z))[3]
+        dist = domain.nearest_boundary(z)[3][0]
         if dist < 2.0 * h:
             raise CurvatureError(
                 f"stencil margin violation: boundary distance {dist:.2e} < 2h = {2 * h:.2e}"

@@ -206,9 +206,7 @@ def _flush_tiny(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def gram_dense(
-    domain: Domain, blocks: Sequence[BasisBlock], nodes: int | None = None
-) -> tuple[np.ndarray, float]:
+def gram_dense(domain: Domain, blocks: Sequence[BasisBlock]) -> tuple[np.ndarray, float]:
     """Full Gram matrix by boundary quadrature; returns (matrix, hermitian residual).
 
     Real and imaginary parts below ``sqrt(tiny)`` ~ 1.5e-154 of the weighted
@@ -218,8 +216,7 @@ def gram_dense(
     are squared norms of ~1e-4 or more at the degrees the dense route uses.
     """
     n = block_sizes(blocks)
-    if nodes is None:
-        nodes = max(2 * n + 64, max(c.nodes for c in domain.curves))
+    nodes = max(2 * n + 64, max(c.nodes for c in domain.curves))
     gram = np.zeros((n, n), dtype=complex)
     for curve in domain.curves:
         c = curve if curve.nodes == nodes else curve.resample(nodes)
@@ -299,21 +296,17 @@ def _rows(blocks: Sequence[BasisBlock], indices, z, order: int) -> np.ndarray:
 
 
 def spot_check_offdiagonal(
-    domain: Domain,
-    blocks: Sequence[BasisBlock],
-    diag: np.ndarray,
-    pairs: int = 12,
-    tol: float = 1e-9,
-    rng: np.random.Generator | None = None,
+    domain: Domain, blocks: Sequence[BasisBlock], diag: np.ndarray, pairs: int = 12
 ) -> float:
     """Verify that randomly chosen off-diagonal Gram entries vanish.
 
-    Guards the diagonal fast path at run time.  Pairs whose frequency
+    Guards the diagonal fast path at run time: an entry above 1e-9 of its
+    diagonal raises ``QuadratureError``.  Pairs whose frequency
     difference is a nonzero multiple of the node count are skipped: for those
     the trapezoid rule aliases the oscillation to frequency zero and reports a
     spurious value even though the true entry is zero.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
+    rng = np.random.default_rng(0)
     freqs = np.concatenate([b.frequencies() for b in blocks])
     n = freqs.size
     node_counts = [c.nodes for c in domain.curves]
@@ -337,19 +330,14 @@ def spot_check_offdiagonal(
     worst = 0.0
     for value, j, k in zip(values, js, ks):
         worst = max(worst, abs(value) / float(np.sqrt(diag[j] * diag[k])))
-    if worst > tol:
+    if worst > 1e-9:
         raise QuadratureError(
             f"off-diagonal Gram entry {worst:.2e} on a rotation-invariant domain"
         )
     return worst
 
 
-def zero_period_residual(
-    domain: Domain,
-    blocks: Sequence[BasisBlock],
-    max_functions: int = 64,
-    rng: np.random.Generator | None = None,
-) -> float:
+def zero_period_residual(domain: Domain, blocks: Sequence[BasisBlock]) -> float:
     """Largest relative contour integral of any basis function around any curve.
 
     The boundary Gram formula is only valid when every basis function has a
@@ -357,14 +345,14 @@ def zero_period_residual(
     and inverse powers of order two and higher satisfy this identically; this
     quadrature check guards the discretization.  Functions whose frequency
     aliases to zero on a curve's node count are skipped on that curve (the
-    trapezoid rule folds those oscillations onto a spurious constant).
+    trapezoid rule folds those oscillations onto a spurious constant).  Bases
+    larger than 64 functions are checked on 64 drawn from a fixed seed.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     total = block_sizes(blocks)
-    if total <= max_functions:
+    if total <= 64:
         indices = np.arange(total)
     else:
-        indices = rng.choice(total, size=max_functions, replace=False)
+        indices = np.random.default_rng(0).choice(total, size=64, replace=False)
     freqs = np.concatenate([b.frequencies() for b in blocks])
     worst = 0.0
     for curve in domain.curves:
@@ -407,20 +395,13 @@ def gram_area_circular(
     return hermitize(gram)[0]
 
 
-def dirichlet_inner(
-    domain: Domain,
-    f,
-    g_primitive,
-    nodes: int = 1024,
-    check: bool = True,
-    rtol: float = 1e-8,
-) -> complex:
+def dirichlet_inner(domain: Domain, f, g_primitive, nodes: int = 1024) -> complex:
     """``int_D f conj(g) dA`` through Stokes, given ``g``'s primitive.
 
     ``f`` must have a single-valued primitive on the domain (all model basis
-    functions do), otherwise the boundary formula picks up period terms.  With
-    ``check`` on, the integral is recomputed at doubled node count and a
-    disagreement raises ``QuadratureError``.
+    functions do), otherwise the boundary formula picks up period terms.  The
+    integral is recomputed at doubled node count, and a disagreement beyond
+    1e-8 relative raises ``QuadratureError``.
     """
 
     def at(n: int) -> complex:
@@ -432,7 +413,7 @@ def dirichlet_inner(
 
     coarse = at(nodes)
     fine = at(2 * nodes)
-    if check and abs(coarse - fine) > rtol * (1.0 + abs(fine)):
+    if abs(coarse - fine) > 1e-8 * (1.0 + abs(fine)):
         raise QuadratureError(
             f"boundary quadrature not converged: {coarse} vs {fine} at {nodes}/{2 * nodes} nodes"
         )
@@ -501,17 +482,13 @@ class KernelModel:
         blocks: Sequence[BasisBlock],
         factorization: GramFactorization,
         meta: dict | None = None,
-        check_interior: bool = True,
     ):
         self.domain = domain
         self.blocks = list(blocks)
         self.factorization = factorization
         self.meta = dict(meta or {})
-        self.check_interior = check_interior
 
     def _require_interior(self, pts: np.ndarray) -> None:
-        if not self.check_interior:
-            return
         mask = self.domain.inside(pts)
         if not np.all(mask):
             bad = pts[~mask][0]
@@ -692,13 +669,13 @@ def _complex_array(pairs: list) -> np.ndarray:
 # -- adaptive construction --------------------------------------------------
 
 
-def default_probes(domain: Domain, count: int = 8) -> np.ndarray:
-    """Deep-interior probe points: midpoints of inside-runs along radial rays."""
+def default_probes(domain: Domain) -> np.ndarray:
+    """Deep-interior probe points: midpoints of inside-runs along 8 radial rays."""
     center = domain.centroid
     radius = domain.outer.radius_bound()
     probes = []
-    for q in range(count):
-        direction = np.exp(2j * np.pi * q / count)
+    for q in range(8):
+        direction = np.exp(2j * np.pi * q / 8)
         radii = np.linspace(0.0, radius, 257)[1:]
         pts = center + radii * direction
         inside = domain.inside(pts)
@@ -730,7 +707,7 @@ def _initial_degree(domain: Domain, probes: np.ndarray, watch_order: int, tol: f
     of that tail at ``tol`` sets the first degree worth trying.
     """
     radius = domain.outer.radius_bound()
-    t_rel = min(domain.nearest_boundary(complex(p))[3] for p in probes) / radius
+    t_rel = np.min(domain.nearest_boundary(probes)[3]) / radius
     shape = 2 * watch_order + 2
     u_target = -np.log(tol) + 3.0 * shape + 10.0
     degree = max(32.0, u_target / (2.0 * max(t_rel, 1e-6)))
@@ -743,7 +720,6 @@ def build_model(
     watch_order: int = 0,
     tol: float = 1e-8,
     degree: int | None = None,
-    max_degree: int | None = None,
 ) -> KernelModel:
     """Build a kernel model, escalating the basis degree until it stops moving.
 
@@ -751,8 +727,12 @@ def build_model(
     at the probe points; the degree doubles until the relative change between
     consecutive models falls below ``tol``, and the finer model is kept.  The
     last observed change is recorded as ``eps_model``: downstream experiments
-    treat it as the model's resolution floor.
+    treat it as the model's resolution floor.  The degree stops at 2^17 on the
+    diagonal route and at 512 on the dense one, and starts at most at half that,
+    so there are always two models to compare and ``eps_model`` is finite.
     """
+    if not 0.0 < tol < np.inf:
+        raise ConfigError(f"tol must be positive and finite, got {tol!r}")
     center = rotation_center(domain)
     fast = center is not None
     if probes is None:
@@ -760,9 +740,8 @@ def build_model(
     probes = np.asarray(probes, dtype=complex)
     if degree is None:
         degree = _initial_degree(domain, probes, watch_order, tol)
-    if max_degree is None:
-        max_degree = (1 << 17) if fast else 512
-    degree = min(degree, max_degree)
+    max_degree = (1 << 17) if fast else 512
+    degree = min(degree, max_degree // 2)
 
     history: list[tuple[int, float]] = []
     previous = None
@@ -814,4 +793,4 @@ def build_model(
             )
             return model
         previous = watched
-        degree = min(degree * 2, max_degree) if degree < max_degree else degree
+        degree = min(degree * 2, max_degree)

@@ -13,7 +13,10 @@ clockwise, so the concatenation of all curves is the positively oriented
 boundary cycle of the domain.
 
 ``Domain.inside`` is the one interior test; every other routine that needs to
-know whether a point is interior asks it.
+know whether a point is interior asks it.  ``BoundaryCurve.nearest_parameter``
+is the one nearest-point routine: a Newton solve vectorised over an array of
+points, which ``Domain.nearest_boundary`` (distances, feet, normals) and the
+side test inside ``Domain.inside`` both call.
 """
 
 from __future__ import annotations
@@ -46,6 +49,10 @@ class BoundaryCurve:
             raise DomainError("curve has no nonconstant Fourier mode")
         self.wavenumbers = ks[keep]
         self.coefficients = cs[keep]
+        # Fourier factors of gamma, gamma' and gamma'' (see ``_jet``)
+        self._jet_factors = np.stack(
+            [(1j * self.wavenumbers) ** j * self.coefficients for j in range(3)]
+        )
         self.nodes = int(nodes)
         self.params = np.arange(self.nodes) * (2.0 * np.pi / self.nodes)
         self.points = self.point(self.params)
@@ -99,12 +106,12 @@ class BoundaryCurve:
         """Longest chord between neighbouring sample nodes."""
         return float(np.max(np.abs(np.roll(self.points, -1) - self.points)))
 
-    def circle_data(self, tol: float = 1e-12):
+    def circle_data(self):
         """Return ``(center, radius, orientation)`` if the curve is a circle.
 
         A circle is a single Fourier mode ``c_0 + c_s e^{i s t}`` with
-        ``s = +-1``; anything else returns ``None``.  ``tol`` is relative to
-        the dominant mode.
+        ``s = +-1``; anything else returns ``None``.  Modes below 1e-12 of
+        the dominant one count as absent.
         """
         center = self.center_coefficient
         scale = float(np.max(np.abs(self.coefficients)))
@@ -113,47 +120,59 @@ class BoundaryCurve:
         for k, c in zip(self.wavenumbers, self.coefficients):
             if k == 0:
                 continue
-            if k in (1, -1) and abs(c) > tol * scale:
+            if k in (1, -1) and abs(c) > 1e-12 * scale:
                 if rad is not None:
                     return None
                 rad = abs(c)
                 orient = int(k)
-            elif abs(c) > tol * scale:
+            elif abs(c) > 1e-12 * scale:
                 return None
         if rad is None:
             return None
         return center, float(rad), orient
 
-    def nearest_parameter(self, z: complex) -> float:
-        """Parameter of the curve point nearest to ``z`` (Newton-refined)."""
-        i0 = int(np.argmin(np.abs(self.points - z)))
-        t = float(self.params[i0])
-        spacing = 2.0 * np.pi / self.nodes
-        for _ in range(30):
-            g = complex(self.point(t))
-            g1 = complex(self.derivative(t, 1))
-            g2 = complex(self.derivative(t, 2))
-            f1 = 2.0 * ((g - z) * np.conj(g1)).real
-            f2 = 2.0 * (abs(g1) ** 2 + ((g - z) * np.conj(g2)).real)
-            if f2 <= 0.0:
-                break
-            step = f1 / f2
-            t -= step
-            if abs(step) < 1e-15:
-                break
-        # guard: Newton must not have wandered past the neighbouring nodes
-        t_wrapped = t % (2.0 * np.pi)
-        sep = abs((t_wrapped - self.params[i0] + np.pi) % (2.0 * np.pi) - np.pi)
-        if sep > 2.0 * spacing:
-            fine = self.params[i0] + np.linspace(-spacing, spacing, 65)
-            vals = self.point(fine)
-            t_wrapped = float(fine[int(np.argmin(np.abs(vals - z)))] % (2.0 * np.pi))
-        return t_wrapped
+    def _jet(self, t, order: int) -> np.ndarray:
+        """(..., order + 1) array of the derivatives of orders 0..order at ``t``.
 
-    def distance_to(self, z: complex) -> tuple[float, float]:
-        """(distance, parameter) of the nearest curve point to ``z``."""
-        t = self.nearest_parameter(z)
-        return abs(complex(self.point(t)) - z), t
+        One exponential serves every order.  The modes are summed per point
+        along a contiguous axis, so a point's values do not depend on which
+        other points share the call (a BLAS product would not promise that).
+        """
+        phases = np.exp(1j * np.multiply.outer(np.asarray(t, dtype=float), self.wavenumbers))
+        return (phases[..., None, :] * self._jet_factors[: order + 1]).sum(axis=-1)
+
+    def nearest_parameter(self, pts) -> np.ndarray:
+        """Parameters of the curve points nearest to each point of the 1-D array ``pts``.
+
+        Newton's method on ``|gamma(t) - z|^2`` runs on all points at once,
+        each from its nearest node.  A point stops after 30 steps, after a
+        step below 1e-15, or where the second derivative is not positive;
+        a live mask keeps it frozen there while the others go on.  A point
+        whose iterate ends more than two node spacings from its start node
+        takes instead the best of 65 samples within one spacing of that node.
+        """
+        z = np.atleast_1d(np.asarray(pts, dtype=complex))
+        start = np.argmin(np.abs(self.points - z[:, None]), axis=1)
+        t = self.params[start]
+        live = np.ones(z.shape, dtype=bool)
+        for _ in range(30):
+            g, g1, g2 = self._jet(t, 2).T
+            # half the first and second derivatives of |gamma(t) - z|^2
+            f1 = (g - z) * np.conj(g1)
+            f2 = np.abs(g1) ** 2 + ((g - z) * np.conj(g2)).real
+            live &= ~(f2 <= 0.0)
+            step = f1.real / np.where(live, f2, np.inf)  # frozen points step by 0
+            t = t - step
+            live &= ~(np.abs(step) < 1e-15)
+            if not live.any():
+                break
+        t %= 2.0 * np.pi
+        spacing = 2.0 * np.pi / self.nodes
+        sep = np.abs((t - self.params[start] + np.pi) % (2.0 * np.pi) - np.pi)
+        for i in np.flatnonzero(sep > 2.0 * spacing):
+            fine = self.params[start[i]] + np.linspace(-spacing, spacing, 65)
+            t[i] = fine[np.argmin(np.abs(self.point(fine) - z[i]))] % (2.0 * np.pi)
+        return t
 
 
 def _validation_polyline(curve: BoundaryCurve) -> np.ndarray:
@@ -203,14 +222,6 @@ def _winding(curve: BoundaryCurve, pts: np.ndarray) -> np.ndarray:
     following = np.concatenate((rel[:, 1:], rel[:, :1]), axis=1)
     turns = np.sum(np.angle(following * np.conj(rel)), axis=1)
     return np.rint(turns / (2.0 * np.pi)).astype(int)
-
-
-def _domain_side(curve: BoundaryCurve, z: complex, band: float) -> bool:
-    """Newton side test: ``z`` lies farther than ``band`` from ``curve``, on the domain's side."""
-    t = curve.nearest_parameter(z)
-    offset = z - complex(curve.point(t))
-    outward = -1j * complex(curve.derivative(t, 1))
-    return abs(offset) > band and (offset * np.conj(outward)).real < 0.0
 
 
 class Domain:
@@ -291,14 +302,19 @@ class Domain:
 
     # -- containment and distance -------------------------------------------
 
-    def nearest_boundary(self, z: complex) -> tuple[int, float, complex, float]:
-        """(curve index, parameter, boundary point, distance) nearest to ``z``."""
-        best = None
-        for idx, curve in enumerate(self.curves):
-            dist, t = curve.distance_to(z)
-            if best is None or dist < best[3]:
-                best = (idx, t, complex(curve.point(t)), dist)
-        return best
+    def nearest_boundary(self, pts):
+        """Nearest boundary point to each point of the 1-D array ``pts``.
+
+        Returns arrays of the curve index, the curve parameter, the boundary
+        point and the distance.  On a tie the earlier curve wins.
+        """
+        z = np.atleast_1d(np.asarray(pts, dtype=complex))
+        params = np.array([curve.nearest_parameter(z) for curve in self.curves])
+        feet = np.array([c._jet(t, 0)[:, 0] for c, t in zip(self.curves, params)])
+        dists = np.abs(feet - z)
+        idx = np.argmin(dists, axis=0)
+        pick = (idx, np.arange(z.size))
+        return idx, params[pick], feet[pick], dists[pick]
 
     def contains(self, z: complex) -> bool:
         """The scalar form of ``inside``."""
@@ -330,8 +346,11 @@ class Domain:
             for q, curve in enumerate(self.curves):
                 ok = _winding(curve, pts) == (1 if q == 0 else 0)
                 gaps = np.min(np.abs(curve.points[None, :] - pts[:, None]), axis=1)
-                for i in np.flatnonzero(gaps < 2.0 * curve.spacing):
-                    ok[i] = _domain_side(curve, complex(pts[i]), self.band)
+                near = np.flatnonzero(gaps < 2.0 * curve.spacing)
+                jet = curve._jet(curve.nearest_parameter(pts[near]), 1)
+                offset = pts[near] - jet[:, 0]
+                outward = -1j * jet[:, 1]  # out of the domain on every curve
+                ok[near] = (np.abs(offset) > self.band) & ((offset * np.conj(outward)).real < 0.0)
                 inside &= ok
             return inside
         c0, below, holes = self._circle_bounds
@@ -340,10 +359,6 @@ class Domain:
             inside &= np.abs(pts - c) > above
         return inside
 
-    def on_boundary(self, z: complex, tol: float | None = None) -> bool:
-        tol = self.band if tol is None else tol
-        return self.nearest_boundary(z)[3] <= tol
-
 
 def signed_distance(domain: Domain, z: complex) -> float:
     """Signed Euclidean distance to the boundary: negative inside the domain.
@@ -351,7 +366,7 @@ def signed_distance(domain: Domain, z: complex) -> float:
     This is the defining function ``psi`` used by the scaling construction;
     its gradient on the boundary is the outward unit normal.
     """
-    dist = domain.nearest_boundary(z)[3]
+    dist = float(domain.nearest_boundary(z)[3][0])
     return -dist if domain.contains(complex(z)) else dist
 
 
@@ -361,8 +376,8 @@ def outward_normal(domain: Domain, p: complex) -> complex:
     Raises ``DomainError`` if ``p`` does not lie on the boundary (within the
     containment band).
     """
-    idx, t, bpt, dist = domain.nearest_boundary(p)
-    if dist > max(domain.band, 1e-9 * domain.diameter):
+    (idx,), (t,), _, (dist,) = domain.nearest_boundary(p)
+    if dist > domain.band:
         raise DomainError(f"{p} is not a boundary point (distance {dist:.3e})")
     g1 = complex(domain.curves[idx].derivative(t, 1))
     return -1j * g1 / abs(g1)
@@ -512,14 +527,12 @@ def hausdorff_distance_local(
     return float(max(cKDTree(pb).query(pa)[0].max(), cKDTree(pa).query(pb)[0].max()))
 
 
-def curve_samples_in_ball(
-    curve: BoundaryCurve, radius: float, target: int = 4000
-) -> np.ndarray:
+def curve_samples_in_ball(curve: BoundaryCurve, radius: float) -> np.ndarray:
     """Dense samples of a curve restricted to ``|z| <= radius``.
 
     Uses a coarse pass to estimate the in-window parameter fraction and then a
-    uniform fine grid, capped at 2^20 evaluations.  Returns the (possibly
-    empty) array of in-window curve points.
+    uniform fine grid aiming at 4000 in-window samples, capped at 2^20
+    evaluations.  Returns the (possibly empty) array of in-window curve points.
     """
     coarse_n = 4096
     t = np.arange(coarse_n) * (2.0 * np.pi / coarse_n)
@@ -527,28 +540,29 @@ def curve_samples_in_ball(
     frac = float(np.count_nonzero(np.abs(pts) <= 1.1 * radius)) / coarse_n
     if frac == 0.0:
         return pts[np.abs(pts) <= radius]
-    fine_n = min(1 << 20, max(coarse_n, int(target / max(frac, 1e-6))))
+    fine_n = min(1 << 20, max(coarse_n, int(4000 / max(frac, 1e-6))))
     t = np.arange(fine_n) * (2.0 * np.pi / fine_n)
     pts = curve.point(t)
     return pts[np.abs(pts) <= radius]
 
 
-def rotation_center(domain: Domain, tol: float = 1e-12) -> complex | None:
+def rotation_center(domain: Domain) -> complex | None:
     """Common center if every boundary curve is a circle about one point.
 
     Such a domain is invariant under all rotations about the center, which
     the model layer exploits (the monomial/pole basis diagonalizes the Gram
-    matrix exactly).  Anchors must coincide with the center as well.
+    matrix exactly).  Anchors must coincide with the center as well, to
+    1e-12 of the largest radius.
     """
-    data = [c.circle_data(tol=tol) for c in domain.curves]
+    data = [c.circle_data() for c in domain.curves]
     if any(d is None for d in data):
         return None
     center = data[0][0]
     scale = max(d[1] for d in data)
     for d in data:
-        if abs(d[0] - center) > tol * scale:
+        if abs(d[0] - center) > 1e-12 * scale:
             return None
     for a in domain.anchors:
-        if abs(a - center) > tol * scale:
+        if abs(a - center) > 1e-12 * scale:
             return None
     return complex(center)

@@ -79,6 +79,9 @@ class ExperimentConfig:
             raise ConfigError("depth steps must strictly decrease")
         if not self.orders or any(n < 1 for n in self.orders):
             raise ConfigError("curvature orders must be a nonempty list of integers >= 1")
+        limits = (self.metric_tol, self.curvature_tol, self.clip_radius)
+        if not all(0.0 < v < np.inf for v in limits):
+            raise ConfigError("metric_tol, curvature_tol and clip_radius must be positive and finite")
 
 
 @dataclass
@@ -267,7 +270,8 @@ def localization_experiment(domain: Domain, config: ExperimentConfig) -> Experim
     if circle is None:
         raise ConfigError("localization needs a circular outer boundary")
     center, radius, _ = circle
-    u_radius = min([curve.distance_to(p)[0] for curve in domain.holes], default=radius) / 2.0
+    to_holes = [float(np.abs(c.point(c.nearest_parameter(p)) - p)[0]) for c in domain.holes]
+    u_radius = min(to_holes, default=radius) / 2.0
     if max(config.steps) >= u_radius:
         raise ConfigError("depth steps must stay inside the localization disk")
     lens = LensMetric.from_disks(center, radius, p, u_radius)

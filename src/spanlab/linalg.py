@@ -28,12 +28,12 @@ def hermitize(a: np.ndarray) -> tuple[np.ndarray, float]:
     return 0.5 * (a + adjoint), resid
 
 
-def pivoted_cholesky(a: np.ndarray, drop_tol: float = 1e-13):
+def pivoted_cholesky(a: np.ndarray):
     """Diagonal-pivoted Cholesky of a Hermitian positive semidefinite matrix.
 
     Returns ``(perm, L, pivots)`` with ``A[perm][:, perm] ~= L @ L.conj().T``.
     ``L`` has ``r`` columns where ``r`` is the numerical rank: LAPACK's ``zpstrf``
-    stops at the first pivot at or below ``drop_tol`` times the largest diagonal
+    stops at the first pivot at or below 1e-13 times the largest diagonal
     entry.  ``pivots`` holds the accepted pivot values in order, so
     ``pivots[0] / pivots[-1]`` estimates the retained condition number.
     """
@@ -44,7 +44,7 @@ def pivoted_cholesky(a: np.ndarray, drop_tol: float = 1e-13):
     top = float(np.max(np.real(np.diagonal(a)))) if n else 0.0
     if top <= 0.0:
         return np.arange(n), np.zeros((n, 0), dtype=complex), np.zeros(0)
-    c, piv, rank, _ = zpstrf(a, tol=drop_tol * top, lower=1)
+    c, piv, rank, _ = zpstrf(a, tol=1e-13 * top, lower=1)
     L = np.tril(c[:, :rank])
     return piv - 1, L, np.abs(np.diagonal(L)) ** 2
 

@@ -1,10 +1,13 @@
 """Command-line entry points, exercised in process via main(argv)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from spanlab.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 DOMAIN = {
     "outer": {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0},
@@ -99,6 +102,13 @@ def test_run_rejects_unknown_keys(tmp_path, capsys):
         assert main(["run", str(path)]) == 2, (key, value)
         err = capsys.readouterr().err
         assert f"malformed {key}" in err and "Traceback" not in err
+    # and well-formed numbers out of range
+    for key, value in (("metric_tol", -1.0), ("curvature_tol", 0.0), ("clip_radius", -5.0)):
+        config = {"experiment": "metric-distance", "domain": disk, "base_point": [1, 0]}
+        config[key] = value
+        path.write_text(json.dumps(config))
+        assert main(["run", str(path)]) == 2, (key, value)
+        assert "must be positive and finite" in capsys.readouterr().err
     # and so are malformed numbers inside the domain
     bad_disk = {"outer": {"kind": "circle", "center": [0.0, 0.0], "radius": None}}
     config = {"experiment": "metric-distance", "domain": bad_disk, "base_point": [1, 0]}
@@ -112,6 +122,17 @@ def test_run_rejects_invalid_json(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["run", str(path)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1e-6", "0", "inf"])
+def test_validate_rejects_bad_tolerance(domain_file, tol, capsys):
+    assert main(["validate", domain_file, f"--tol={tol}"]) == 2
+    assert "tol must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_checked_in_configs_validate(path, capsys):
+    assert main(["validate", str(path)]) == 0
 
 
 def test_missing_file_exit_code(capsys):

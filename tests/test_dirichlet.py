@@ -459,18 +459,27 @@ def test_ellipse_model_fd_curvature_consistency(ellipse_model):
     assert abs(matrix_route - fd_route) < 5e-4 * abs(matrix_route)
 
 
+@pytest.mark.parametrize("t, converged", [(0.032, True), (0.008, False)])
+def test_a_build_that_reaches_the_degree_cap_compares_two_models(t, converged):
+    # The start degree for these probes is 512, the dense route's cap: a first
+    # build there used to be the only one, leaving eps_model NaN.
+    model = sl.build_model(sl.ellipse(semi_axes=(1.0, 0.6)), probes=[1.0 - t], tol=1e-8)
+    assert [degree for degree, _ in model.meta["history"]] == [256, 512]
+    assert np.isfinite(model.eps_model)
+    assert model.meta["converged"] is converged
+
+
+def test_build_model_rejects_bad_tolerances(disk_domain):
+    for tol in (0.0, -1e-8, float("nan"), float("inf")):
+        with pytest.raises(sl.ConfigError):
+            sl.build_model(disk_domain, tol=tol)
+
+
 def test_interior_check_raises(annulus_model):
     with pytest.raises(sl.DomainError):
         annulus_model.metric(0.3 + 0.0j)  # inside the hole
     with pytest.raises(sl.DomainError):
         annulus_model.kernel(1.2, 0.75)
-    annulus_model_unchecked = sl.KernelModel(
-        annulus_model.domain,
-        annulus_model.blocks,
-        annulus_model.factorization,
-        check_interior=False,
-    )
-    assert np.isfinite(annulus_model_unchecked.metric(1.2))
 
 
 def test_interior_check_near_a_hole_between_nodes(annulus_model):

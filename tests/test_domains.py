@@ -43,9 +43,10 @@ def test_curve_derivative_matches_fd():
 
 def test_nearest_parameter_on_circle():
     curve = sl.BoundaryCurve({0: 0.0, 1: 1.0})
-    dist, t = curve.distance_to(0.5 + 0.5j)
-    assert abs(dist - (1.0 - abs(0.5 + 0.5j))) < 1e-12
-    assert abs(np.asarray(curve.point(t)).item() - np.exp(1j * np.pi / 4)) < 1e-10
+    (t,) = curve.nearest_parameter(0.5 + 0.5j)
+    foot = np.asarray(curve.point(t)).item()
+    assert abs(abs(foot - (0.5 + 0.5j)) - (1.0 - abs(0.5 + 0.5j))) < 1e-12
+    assert abs(foot - np.exp(1j * np.pi / 4)) < 1e-10
 
 
 # -- domain validation ----------------------------------------------------------
@@ -94,8 +95,8 @@ def test_containment_on_annulus(annulus_domain):
     assert not annulus_domain.contains(0.25)  # inside the hole
     assert not annulus_domain.contains(1.25)  # outside
     assert not annulus_domain.contains(1.0)  # on the boundary band
-    assert annulus_domain.on_boundary(np.exp(0.3j))
-    assert annulus_domain.on_boundary(0.5 * np.exp(2.1j))
+    for z in (np.exp(0.3j), 0.5 * np.exp(2.1j)):
+        assert annulus_domain.nearest_boundary(z)[3] <= annulus_domain.band
 
 
 _ECCENTRIC = {
@@ -178,6 +179,79 @@ def test_inside_is_exact_near_the_ellipse(angle, log_depth, outward):
         assert got == exact
     elif depth < 0.99 * _ELLIPSE.band:
         assert not got  # inside the band is boundary
+
+
+# -- nearest boundary points ------------------------------------------------------
+
+_AFFINE = sl.annulus(1.25, outer_radius=2.5, center=1 - 1j)
+_CIRCLES = {
+    "disk": sl.disk().outer,
+    "annulus-hole": sl.annulus(0.5).holes[0],
+    "eccentric-hole": sl.domain_from_dict(_ECCENTRIC).holes[0],
+    "affine-outer": _AFFINE.outer,
+    "affine-hole": _AFFINE.holes[0],
+}
+
+
+@pytest.mark.parametrize("curve", list(_CIRCLES.values()), ids=list(_CIRCLES))
+@given(polar=st.lists(st.tuples(st.floats(0.0, 2 * np.pi), st.floats(0.05, 3.0)), min_size=1))
+def test_nearest_parameter_is_the_radial_foot_on_circles(curve, polar):
+    center, radius, _ = curve.circle_data()
+    z = np.array([center + radius * s * np.exp(1j * a) for a, s in polar])
+    foot = curve.point(curve.nearest_parameter(z))
+    assert np.max(np.abs(foot - (center + radius * (z - center) / np.abs(z - center)))) <= 1e-12
+
+
+_ELLIPSE_GRID = _ELLIPSE.outer.point(np.arange(65536) * (2 * np.pi / 65536))
+
+
+@given(angle=st.floats(0.0, 2 * np.pi), log_depth=st.floats(-9.0, -1.0), outward=st.booleans())
+def test_nearest_boundary_beats_a_fine_grid_on_the_ellipse(angle, log_depth, outward):
+    # inner depths stay below the least radius of curvature, 0.36, so the
+    # nearest point is unique
+    curve = _ELLIPSE.outer
+    velocity = complex(curve.derivative(angle, 1))
+    depth = 10.0**log_depth * _ELLIPSE.diameter * (1.0 if outward else -1.0)
+    z = complex(curve.point(angle)) - 1j * depth * velocity / abs(velocity)
+    (dist,) = _ELLIPSE.nearest_boundary(z)[3]
+    assert dist <= np.min(np.abs(_ELLIPSE_GRID - z)) + 1e-12
+
+
+# On this 16-node ellipse Newton runs off from the nearest node at these points,
+# so the 65-sample guard answers instead.
+_COARSE = sl.ellipse(semi_axes=(1.0, 0.3), nodes=16)
+_GUARDED = np.array([-0.913 + 0.023j, 0.911 - 0.013j])
+
+
+def test_nearest_parameter_guard_takes_a_sample_near_the_start_node():
+    curve = _COARSE.outer
+    spacing = 2 * np.pi / curve.nodes
+    for z, t in zip(_GUARDED, curve.nearest_parameter(_GUARDED)):
+        start = curve.params[np.argmin(np.abs(curve.points - z))]
+        assert t in (start + np.linspace(-spacing, spacing, 65)) % (2 * np.pi)
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        _ELLIPSE,
+        _COARSE,
+        sl.domain_from_dict(_ECCENTRIC),
+        sl.domain_from_dict(
+            {"outer": {"kind": "polygon", "vertices": [[1.2, -1], [1.2, 1], [-1.2, 1], [-1.2, -1]]}}
+        ),
+    ],
+    ids=["ellipse", "coarse-ellipse", "eccentric", "polygon"],
+)
+def test_nearest_boundary_of_an_array_is_the_stacked_single_calls(domain, rng):
+    box = rng.uniform(-1.3, 1.3, (2, 200))
+    pts = np.concatenate([box[0] + 1j * box[1], _GUARDED])
+    batch = domain.nearest_boundary(pts)
+    single = [domain.nearest_boundary(z) for z in pts]
+    for got, want in zip(batch, zip(*single)):
+        assert got.shape == pts.shape
+        assert np.concatenate(want).tobytes() == got.tobytes()  # bit for bit
+    assert [a.size for a in domain.nearest_boundary(np.empty(0, dtype=complex))] == [0] * 4
 
 
 def test_signed_distance_signs(annulus_domain):

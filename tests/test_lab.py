@@ -58,6 +58,10 @@ def test_config_rejects_nonpositive_step():
         {"steps": (float("nan"), 0.1)},
         {"orders": (0,)},
         {"orders": (1, -2)},
+        {"metric_tol": -1.0},
+        {"metric_tol": float("nan")},
+        {"curvature_tol": 0.0},
+        {"clip_radius": float("inf")},
     ):
         with pytest.raises(sl.ConfigError):
             sl.ExperimentConfig(base_point=1.0, **kwargs)
