@@ -30,18 +30,13 @@ from .dirichlet import (
     zero_period_residual,
 )
 from .domains import (
-    AffineScalingMap,
     BoundaryCurve,
-    DefiningFunctionPatch,
     Domain,
-    HalfPlane,
     hausdorff_distance_local,
     inner_normal_sequence,
-    limit_halfplane,
     outward_normal,
     rotation_center,
     scaled_domain,
-    scaling_map,
     signed_distance,
 )
 from .errors import (
@@ -64,12 +59,7 @@ from .reference import (
     HalfPlaneMetric,
     LensMetric,
     MobiusMap,
-    cayley_map,
-    disk_kernel,
     halfdisk_density,
-    halfdisk_metric,
-    halfplane_metric,
-    inversion,
     inverted_domain,
 )
 from .shapes import annulus, disk, domain_from_dict, ellipse, load_domain
@@ -77,13 +67,11 @@ from .shapes import annulus, disk, domain_from_dict, ellipse, load_domain
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineScalingMap",
     "BasisBlock",
     "BoundaryCurve",
     "ConfigError",
     "CurvatureError",
     "CurvatureReport",
-    "DefiningFunctionPatch",
     "DiskAutomorphism",
     "DiskMetric",
     "Domain",
@@ -93,7 +81,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "GramFactorization",
-    "HalfPlane",
     "HalfPlaneMetric",
     "KernelModel",
     "LensMetric",
@@ -103,14 +90,12 @@ __all__ = [
     "build_blocks",
     "build_model",
     "burbea_bound",
-    "cayley_map",
     "curvature_from_matrix",
     "curvature_profile",
     "default_probes",
     "default_schedule",
     "dirichlet_inner",
     "disk",
-    "disk_kernel",
     "domain_from_dict",
     "ellipse",
     "gaussian_curvature_fd_oracle",
@@ -118,20 +103,15 @@ __all__ = [
     "gram_dense",
     "gram_diagonal",
     "halfdisk_density",
-    "halfdisk_metric",
-    "halfplane_metric",
     "hausdorff_distance_local",
     "higher_order_curvature",
     "inner_normal_sequence",
-    "inversion",
     "inverted_domain",
-    "limit_halfplane",
     "load_domain",
     "outward_normal",
     "rotation_center",
     "run_experiment",
     "scaled_domain",
-    "scaling_map",
     "signed_distance",
     "spot_check_offdiagonal",
     "zero_period_residual",

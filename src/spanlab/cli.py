@@ -17,7 +17,7 @@ from .curvature import (
 from .dirichlet import build_model, default_probes
 from .errors import ConfigError, DomainError
 from .lab import ExperimentConfig, run_experiment
-from .reference import DiskMetric, HalfPlaneMetric, LensMetric, halfdisk_metric
+from .reference import DiskMetric, HalfPlaneMetric, LensMetric, halfdisk_density
 from .shapes import domain_from_dict, json_number, json_numbers
 
 
@@ -134,7 +134,8 @@ def _oracle_halfplane() -> bool:
 def _oracle_lens() -> bool:
     lens = LensMetric.half_disk(1.0)
     samples = np.array([0.5j, 0.25 + 0.4j, -0.3 + 0.2j, 0.1 + 0.7j])
-    rel = float(np.max(np.abs(lens.metric(samples) / halfdisk_metric(samples) - 1.0)))
+    halfdisk = (halfdisk_density(samples) / 2.0) ** 2
+    rel = float(np.max(np.abs(lens.metric(samples) / halfdisk - 1.0)))
     return _check(
         "lens uniformization reproduces the half-disk metric",
         rel < 1e-10,

@@ -48,17 +48,27 @@ from .errors import ConfigError, DomainError, QuadratureError
 from .linalg import hermitize, pivoted_cholesky, unwhiten_solve, whiten_cholesky
 
 
-def _int_power(base: np.ndarray, exponent: int) -> np.ndarray:
-    """base**exponent by binary exponentiation (exact integer exponent)."""
-    result = np.ones_like(base)
-    square = base.copy()
-    e = int(exponent)
-    while e > 0:
-        if e & 1:
-            result = result * square
-        square = square * square
-        e >>= 1
-    return result
+def _binary_power(square: np.ndarray, e: Sequence[int]) -> np.ndarray:
+    """Row i of ``square`` raised to the integer power ``e[i]`` by repeated squaring.
+
+    Batched over the rows: ``e`` must be decreasing, so that the rows still
+    to be squared are a prefix.  ``square`` is overwritten.  The loop runs on
+    Python integers, which keeps a one-row call (every power ladder makes
+    one) as cheap as a scalar loop.  Every product is a plain ``a * b`` on a
+    row or a prefix, because numpy can round a one-element
+    ``multiply(a, b, out=...)`` differently in the last bit.
+    """
+    raised = np.ones_like(square)
+    e = [int(x) for x in e]
+    while True:
+        for i, x in enumerate(e):
+            if x & 1:
+                raised[i] = raised[i] * square[i]
+        e = [x >> 1 for x in e]
+        deep = sum(x > 0 for x in e)
+        if deep == 0:
+            return raised
+        square[:deep] = square[:deep] * square[:deep]
 
 
 def _power_ladder(
@@ -67,7 +77,7 @@ def _power_ladder(
     """Array of shape (count, len(base)) holding base**(start + i), in ``out`` if given."""
     out = np.empty((count, base.size), dtype=complex) if out is None else out
     out[:] = base[None, :]
-    out[0] = _int_power(base, start)
+    out[0] = _binary_power(base[None, :].copy(), [start])[0]
     np.cumprod(out, axis=0, out=out)
     return out
 
@@ -261,10 +271,9 @@ def _rows(blocks: Sequence[BasisBlock], indices, z, order: int) -> np.ndarray:
     """Values (order 0) or primitives (order -1) of the basis functions at ``indices``.
 
     Returns a (len(indices), len(z)) array without materializing whole blocks.
-    Each row is raised by binary exponentiation of its block's base, batched
-    over the rows: an element is the product of the same repeated squares, in
-    the same order, as ``BasisBlock.evaluate`` forms on a one-function block,
-    less the exact factor 1.0 that a monomial carries at order 0.
+    Each row is its block's base raised by ``_binary_power``, the routine that
+    also starts every power ladder, so a row is bit for bit the value
+    ``BasisBlock.evaluate`` gives on a one-function block.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     indices = np.asarray(indices, dtype=int)
@@ -273,19 +282,10 @@ def _rows(blocks: Sequence[BasisBlock], indices, z, order: int) -> np.ndarray:
     powers = np.array([b.start for b in blocks])[owner] + indices - offsets[owner]
     monomial = np.array([b.kind == "monomial" for b in blocks])[owner]
     e = np.where(monomial, powers + 1, powers - 1) if order == -1 else powers
-    # Largest exponents first, so the rows still being raised are a prefix.
     rank = np.argsort(-e, kind="stable")
-    e = e[rank]
     square = np.stack([b.base(z) for b in blocks])[owner[rank]]
-    raised = np.ones((indices.size, z.size), dtype=complex)
-    while e.size and e[0] > 0:
-        live, deep = np.count_nonzero(e > 0), np.count_nonzero(e > 1)
-        odd = (e[:live] & 1).astype(bool)[:, None]
-        np.multiply(raised[:live], square[:live], out=raised[:live], where=odd)
-        np.multiply(square[:deep], square[:deep], out=square[:deep])
-        e = e >> 1
-    result = np.empty_like(raised)
-    result[rank] = raised
+    result = np.empty((indices.size, z.size), dtype=complex)
+    result[rank] = _binary_power(square, e[rank])
     if order == 0:
         return result
     scales = np.array([b.scale for b in blocks])[owner]
@@ -502,60 +502,40 @@ class KernelModel:
     def eps_model(self) -> float:
         return float(self.meta.get("eps_model", np.nan))
 
-    def basis_values(self, z, order: int = 0) -> np.ndarray:
-        return evaluate_blocks(self.blocks, z, order)
-
-    def whitened_values(self, z, order: int = 0) -> np.ndarray:
-        return self.factorization.whiten(self.basis_values(z, order))
-
-    def _whitened_jet(self, z: complex, order: int) -> np.ndarray:
-        """(order + 1, rank) whitened derivative vectors of orders 0..order at ``z``.
-
-        One jet per basis block and one whitening call for all orders.
-        """
-        self._require_interior(np.array([z], dtype=complex))
-        jet = np.concatenate([b.jet([z], order)[:, :, 0] for b in self.blocks], axis=1)
-        return self.factorization.whiten(jet.T).T
-
     def kernel_matrix(self, z, zeta) -> np.ndarray:
         """Matrix of kernel values, entry [i, j] = K(z_i, zeta_j)."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
         self._require_interior(np.concatenate([z, zeta]))
-        wz = self.whitened_values(z)
-        ww = self.whitened_values(zeta)
+        wz = self.factorization.whiten(evaluate_blocks(self.blocks, z))
+        ww = self.factorization.whiten(evaluate_blocks(self.blocks, zeta))
         return wz.T @ ww.conj()
-
-    def kernel(self, z: complex, zeta: complex) -> complex:
-        return complex(self.kernel_matrix([z], [zeta])[0, 0])
-
-    def kernel_mixed_derivative(self, z: complex, j: int, k: int) -> complex:
-        """d^j/dz^j d^k/dzetabar^k of the kernel, evaluated on the diagonal."""
-        u = self._whitened_jet(z, max(j, k))
-        return complex(np.sum(u[j] * np.conj(u[k])))
 
     def metric(self, z):
         """Span metric s(z) = pi K(z, z); returns a float for scalar input."""
         scalar = np.isscalar(z) or np.asarray(z).ndim == 0
         pts = np.atleast_1d(np.asarray(z, dtype=complex))
         self._require_interior(pts)
-        w = self.whitened_values(pts)
+        w = self.factorization.whiten(evaluate_blocks(self.blocks, pts))
         values = np.pi * np.sum(np.abs(w) ** 2, axis=0)
         return float(values[0]) if scalar else values
 
     def metric_matrix(self, z: complex, order: int) -> np.ndarray:
         """Hermitian matrix of metric derivatives, entry [j, k] = s_{j kbar}(z).
 
-        Built as ``pi U U^*`` from whitened derivative vectors, so it is
-        positive semidefinite by construction.
+        Built as ``pi U U^*`` from the whitened derivative vectors ``U`` of
+        orders 0..order, so it is positive semidefinite by construction: one
+        jet per basis block and one whitening call for all orders.
         """
-        u = self._whitened_jet(z, order)
+        self._require_interior(np.array([z], dtype=complex))
+        jet = np.concatenate([b.jet([z], order)[:, :, 0] for b in self.blocks], axis=1)
+        u = self.factorization.whiten(jet.T).T
         return np.pi * (u @ u.conj().T)
 
     def kernel_coefficients(self, zeta: complex) -> np.ndarray:
         """Coefficients beta with K(., zeta) = sum_j beta_j g_j."""
         self._require_interior(np.array([zeta], dtype=complex))
-        v = self.basis_values([zeta])[:, 0]
+        v = evaluate_blocks(self.blocks, [zeta])[:, 0]
         return np.conj(self.factorization.solve(v))
 
     # -- persistence --------------------------------------------------------

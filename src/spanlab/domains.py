@@ -17,13 +17,17 @@ know whether a point is interior asks it.  ``BoundaryCurve.nearest_parameter``
 is the one nearest-point routine: a Newton solve vectorised over an array of
 points, which ``Domain.nearest_boundary`` (distances, feet, normals) and the
 side test inside ``Domain.inside`` both call.
+
+The scaling principle needs no objects of its own: ``scaled_domain(domain,
+z, -signed_distance(domain, z))`` is the blown-up domain at an interior point
+``z``, and its limit at the boundary point ``p`` is the half-plane
+``reference.HalfPlaneMetric(outward_normal(domain, p))``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -34,6 +38,9 @@ from .errors import DomainError, EmptyClipError
 # Containment tolerance band: points closer than BAND_FACTOR * diameter to a
 # boundary curve are boundary points, and ``Domain.inside`` refuses them.
 BAND_FACTOR = 1e-8
+
+# Points per slice of the winding-number branch of ``Domain.inside``.
+_INSIDE_SLICE = 1024
 
 
 class BoundaryCurve:
@@ -338,20 +345,23 @@ class Domain:
         each curve is decided by the winding number of its node polygon, except
         within two node spacings of that curve, where the polygon can stray
         from the curve: there the side of the Newton-refined nearest curve
-        point decides.
+        point decides.  That branch works through the points in slices of
+        ``_INSIDE_SLICE``, so its (points x nodes) arrays stay bounded.
         """
         pts = np.atleast_1d(np.asarray(pts, dtype=complex))
         if self._circle_bounds is None:
             inside = np.ones(pts.shape, dtype=bool)
-            for q, curve in enumerate(self.curves):
-                ok = _winding(curve, pts) == (1 if q == 0 else 0)
-                gaps = np.min(np.abs(curve.points[None, :] - pts[:, None]), axis=1)
-                near = np.flatnonzero(gaps < 2.0 * curve.spacing)
-                jet = curve._jet(curve.nearest_parameter(pts[near]), 1)
-                offset = pts[near] - jet[:, 0]
-                outward = -1j * jet[:, 1]  # out of the domain on every curve
-                ok[near] = (np.abs(offset) > self.band) & ((offset * np.conj(outward)).real < 0.0)
-                inside &= ok
+            for lo in range(0, pts.size, _INSIDE_SLICE):
+                part = pts[lo : lo + _INSIDE_SLICE]
+                for q, curve in enumerate(self.curves):
+                    ok = _winding(curve, part) == (1 if q == 0 else 0)
+                    gaps = np.min(np.abs(curve.points[None, :] - part[:, None]), axis=1)
+                    near = np.flatnonzero(gaps < 2.0 * curve.spacing)
+                    jet = curve._jet(curve.nearest_parameter(part[near]), 1)
+                    offset = part[near] - jet[:, 0]
+                    outward = -1j * jet[:, 1]  # out of the domain on every curve
+                    ok[near] = (np.abs(offset) > self.band) & ((offset * np.conj(outward)).real < 0.0)
+                    inside[lo : lo + _INSIDE_SLICE] &= ok
             return inside
         c0, below, holes = self._circle_bounds
         inside = np.abs(pts - c0) < below
@@ -400,112 +410,28 @@ def inner_normal_sequence(domain: Domain, p: complex, steps: Sequence[float]) ->
     return pts
 
 
-@dataclass
-class DefiningFunctionPatch:
-    """Local defining function at a boundary point.
+def scaled_domain(domain: Domain, center: complex, scale: float) -> Domain:
+    """Image of ``domain`` under ``T(z) = (z - center) / scale``, coefficient-exact.
 
-    ``psi`` is negative inside, zero at ``point``; ``omega`` is the gradient
-    ``psi_x + i psi_y`` at ``point``.  For the signed-distance realization the
-    gradient is the outward unit normal.
+    The scaling step of the boundary experiments takes an interior ``center``
+    and ``scale = -signed_distance(domain, center)``; a ``scale`` that is not
+    positive (a center on or outside the boundary) raises ``DomainError``.
     """
-
-    point: complex
-    psi: Callable[[complex], float]
-    omega: complex
-
-    @classmethod
-    def from_domain(cls, domain: Domain, p: complex) -> "DefiningFunctionPatch":
-        return cls(
-            point=complex(p),
-            psi=lambda z: signed_distance(domain, z),
-            omega=outward_normal(domain, p),
-        )
-
-
-@dataclass(frozen=True)
-class AffineScalingMap:
-    """The rescaling ``T(z) = (z - center) / scale`` with ``scale > 0``."""
-
-    center: complex
-    scale: float
-
-    def apply(self, z):
-        return (np.asarray(z, dtype=complex) - self.center) / self.scale
-
-    def invert(self, w):
-        return np.asarray(w, dtype=complex) * self.scale + self.center
-
-
-def scaling_map(domain: Domain, psi, p_n: complex) -> AffineScalingMap:
-    """Build the scaling map centered at ``p_n`` with scale ``-psi(p_n)``.
-
-    ``psi`` may be a ``DefiningFunctionPatch`` or a bare callable.  The center
-    must be strictly inside (``psi(p_n) < 0``).
-    """
-    fn = psi.psi if isinstance(psi, DefiningFunctionPatch) else psi
-    value = float(fn(p_n))
-    if value >= 0.0:
-        raise DomainError(f"scaling center {p_n} has psi={value:.3e}, need psi < 0")
-    if not domain.contains(complex(p_n)):
-        raise DomainError(f"scaling center {p_n} is not strictly interior")
-    return AffineScalingMap(center=complex(p_n), scale=-value)
-
-
-def scaled_domain(domain: Domain, mapping: AffineScalingMap) -> Domain:
-    """Image domain under an affine scaling map, coefficient-exact."""
+    if not scale > 0.0:
+        raise DomainError(f"scaling center {center} has scale {scale:.3e}, need scale > 0")
+    center = complex(center)
 
     def move(curve: BoundaryCurve) -> BoundaryCurve:
-        coeffs = {}
-        for k, c in zip(curve.wavenumbers, curve.coefficients):
-            coeffs[int(k)] = complex(c) / mapping.scale
-        coeffs[0] = coeffs.get(0, 0.0) - mapping.center / mapping.scale
+        coeffs = {int(k): complex(c) / scale for k, c in zip(curve.wavenumbers, curve.coefficients)}
+        coeffs[0] = coeffs.get(0, 0.0) - center / scale
         return BoundaryCurve(coeffs, nodes=curve.nodes)
 
     return Domain(
         outer=move(domain.outer),
         holes=[move(h) for h in domain.holes],
-        anchors=[complex(mapping.apply(a)) for a in domain.anchors],
+        anchors=list((np.array(domain.anchors, dtype=complex) - center) / scale),
         validate=False,
     )
-
-
-@dataclass(frozen=True)
-class HalfPlane:
-    """The limit half-plane ``{ z : Re(conj(omega) z) < 1 }``.
-
-    Its defining function is ``psi_inf(z) = Re(conj(omega) z) - 1``, which is
-    ``|omega|`` times the signed distance to the boundary line.
-    """
-
-    omega: complex
-
-    def psi(self, z) -> float:
-        return float((np.conj(self.omega) * z).real - 1.0)
-
-    def contains(self, z) -> bool:
-        return self.psi(z) < 0.0
-
-    def distance(self, z):
-        return (1.0 - (np.conj(self.omega) * np.asarray(z, dtype=complex)).real) / abs(
-            self.omega
-        )
-
-    def boundary_samples(self, radius: float, count: int = 2048) -> np.ndarray:
-        """Samples of the boundary line inside the closed ball ``|z| <= radius``."""
-        foot = self.omega / abs(self.omega) ** 2
-        if abs(foot) > radius:
-            raise EmptyClipError("boundary line misses the clipping ball")
-        half = np.sqrt(radius**2 - abs(foot) ** 2)
-        s = np.linspace(-half, half, count)
-        direction = 1j * self.omega / abs(self.omega)
-        return foot + s * direction
-
-
-def limit_halfplane(patch: DefiningFunctionPatch) -> HalfPlane:
-    """Blow-up limit of the rescaled defining functions at ``patch.point``."""
-    if patch.omega == 0:
-        raise DomainError("defining-function gradient vanishes; no limit half-plane")
-    return HalfPlane(omega=complex(patch.omega))
 
 
 def hausdorff_distance_local(

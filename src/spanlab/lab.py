@@ -21,6 +21,12 @@ The four experiments:
                            two-sided sandwich from closed-form neighbors
 * ``scaling_kernel``     - kernels of blown-up domains -> half-plane kernel,
                            with boundary Hausdorff convergence at rate O(t)
+
+The scaling experiment blows the domain up at each ``z_t`` with
+``domains.scaled_domain(domain, z_t, -signed_distance(domain, z_t))`` and
+compares it with one ``reference.HalfPlaneMetric(omega)``, ``omega`` the
+outward normal at the base point, which supplies both the limit kernel and
+the limit boundary line.
 """
 
 from __future__ import annotations
@@ -34,14 +40,12 @@ import numpy as np
 from .curvature import burbea_bound, curvature_profile
 from .dirichlet import build_model
 from .domains import (
-    DefiningFunctionPatch,
     Domain,
     curve_samples_in_ball,
     hausdorff_distance_local,
     inner_normal_sequence,
-    limit_halfplane,
+    outward_normal,
     scaled_domain,
-    scaling_map,
     signed_distance,
 )
 from .errors import ConfigError
@@ -321,14 +325,14 @@ def scaling_kernel_experiment(domain: Domain, config: ExperimentConfig) -> Exper
     to the half-plane boundary in clipped Hausdorff distance.
     """
     p = complex(config.base_point)
-    patch = DefiningFunctionPatch.from_domain(domain, p)
-    half = limit_halfplane(patch)
-    grid = _SCALING_GRID * patch.omega
-    ref_kernel = HalfPlaneMetric(half.omega).kernel(grid[:, None], grid[None, :])
+    omega = outward_normal(domain, p)
+    half = HalfPlaneMetric(omega)
+    grid = _SCALING_GRID * omega
+    ref_kernel = half.kernel(grid[:, None], grid[None, :])
     line = half.boundary_samples(config.clip_radius, count=4096)
 
     def measure(z):
-        blown = scaled_domain(domain, scaling_map(domain, patch, z))
+        blown = scaled_domain(domain, z, -signed_distance(domain, z))
         inside = blown.inside(grid)
         dropped = int(np.count_nonzero(~inside))
         if dropped:
@@ -370,7 +374,7 @@ def scaling_kernel_experiment(domain: Domain, config: ExperimentConfig) -> Exper
         gates=gates,
         meta={
             "c_fit": c_fit,
-            "omega": [patch.omega.real, patch.omega.imag],
+            "omega": [omega.real, omega.imag],
             "gap_slope": decay_order(t, sup_gap),
             "hausdorff_slope": decay_order(t, bd_gap),
             "plot_columns": ["sup_kernel_gap", "hausdorff"],

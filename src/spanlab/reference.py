@@ -16,7 +16,7 @@ from math import comb, factorial
 import numpy as np
 
 from .domains import BoundaryCurve, Domain
-from .errors import DomainError
+from .errors import DomainError, EmptyClipError
 
 
 def _disk_metric_derivative(w, j: int, k: int):
@@ -32,8 +32,22 @@ def _disk_metric_derivative(w, j: int, k: int):
     return total
 
 
+class _MetricMatrix:
+    """``metric_matrix`` from a closed-form ``metric_derivative``."""
+
+    def metric_matrix(self, z: complex, order: int) -> np.ndarray:
+        """Entry [j, k] = s_{j kbar}(z) for j, k = 0..order."""
+        return np.array(
+            [
+                [self.metric_derivative(z, j, k) for k in range(order + 1)]
+                for j in range(order + 1)
+            ],
+            dtype=complex,
+        )
+
+
 @dataclass(frozen=True)
-class DiskMetric:
+class DiskMetric(_MetricMatrix):
     """Span metric of the disk |z - center| < radius."""
 
     center: complex = 0.0 + 0.0j
@@ -54,18 +68,9 @@ class DiskMetric:
         w = self._pull(z)
         return _disk_metric_derivative(w, j, k) / self.radius ** (2 + j + k)
 
-    def metric_matrix(self, z: complex, order: int) -> np.ndarray:
-        return np.array(
-            [
-                [self.metric_derivative(z, j, k) for k in range(order + 1)]
-                for j in range(order + 1)
-            ],
-            dtype=complex,
-        )
-
 
 @dataclass(frozen=True)
-class HalfPlaneMetric:
+class HalfPlaneMetric(_MetricMatrix):
     """Span metric of the half-plane { Re(conj(omega) z) < 1 }.
 
     The boundary line is at distance ``1/|omega|`` from the origin and the
@@ -105,24 +110,15 @@ class HalfPlaneMetric:
             * (1.0 - v) ** (-(2 + j + k))
         )
 
-    def metric_matrix(self, z: complex, order: int) -> np.ndarray:
-        return np.array(
-            [
-                [self.metric_derivative(z, j, k) for k in range(order + 1)]
-                for j in range(order + 1)
-            ],
-            dtype=complex,
-        )
-
-
-def disk_kernel(z, zeta):
-    """Kernel of the unit disk: ``1 / (pi (1 - z conj(zeta))^2)``."""
-    return DiskMetric().kernel(z, zeta)
-
-
-def halfplane_metric(omega: complex, z):
-    """Span metric of { Re(conj(omega) z) < 1 } at ``z``."""
-    return HalfPlaneMetric(omega).metric(z)
+    def boundary_samples(self, radius: float, count: int = 2048) -> np.ndarray:
+        """Samples of the boundary line inside the closed ball ``|z| <= radius``."""
+        foot = self.omega / abs(self.omega) ** 2
+        if abs(foot) > radius:
+            raise EmptyClipError("boundary line misses the clipping ball")
+        half = np.sqrt(radius**2 - abs(foot) ** 2)
+        s = np.linspace(-half, half, count)
+        direction = 1j * self.omega / abs(self.omega)
+        return foot + s * direction
 
 
 def halfdisk_density(z, r: float = 1.0):
@@ -135,24 +131,6 @@ def halfdisk_density(z, r: float = 1.0):
     return (
         np.abs(r + z) * np.abs(r - z) / (z.imag * (r**2 - np.abs(z) ** 2))
     )
-
-
-def halfdisk_metric(z, r: float = 1.0):
-    return (halfdisk_density(z, r) / 2.0) ** 2
-
-
-def cayley_map(z):
-    """Conformal map of the unit disk onto the upper half-plane.
-
-    ``z = 1`` goes to 0 and the center goes to ``i``.
-    """
-    z = np.asarray(z, dtype=complex)
-    return 1j * (1.0 - z) / (1.0 + z)
-
-
-def inversion(a: complex, z):
-    """The Mobius map ``1 / (z - a)``; turns a hole around ``a`` inside out."""
-    return 1.0 / (np.asarray(z, dtype=complex) - a)
 
 
 @dataclass(frozen=True)
@@ -302,10 +280,10 @@ def inverted_domain(domain: Domain, hole_index: int) -> tuple[Domain, MobiusMap]
     conformally onto a new finitely connected domain whose outer boundary is
     the image of the selected hole; the old outer curve becomes a hole with
     anchor ``0`` (the image of infinity).  The span metric pulls back through
-    the map: ``s_old(z) = s_new(w(z)) |w'(z)|^2``.  This is the standard
-    preprocessing step when a boundary experiment should run at a point of a
-    hole curve, since the experiment drivers expect their base point on the
-    outer boundary.
+    the map: ``s_old(z) = s_new(w(z)) |w'(z)|^2``.  This serves the Moebius
+    invariance oracle: a model of the inverted domain, pulled back, must give
+    the metric of a model of the original one.  The experiments need no such
+    step; they accept a base point on any boundary curve.
     """
     if not 0 <= hole_index < len(domain.holes):
         raise DomainError(f"domain has no hole {hole_index}")

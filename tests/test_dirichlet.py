@@ -311,7 +311,7 @@ def test_per_hole_degrees():
 @given(z=interior_disk, w=interior_disk)
 def test_disk_model_kernel_matches_closed_form(disk_model, z, w):
     ref = sl.DiskMetric()
-    got = disk_model.kernel(z, w)
+    got = complex(disk_model.kernel_matrix(z, w)[0, 0])
     want = complex(ref.kernel(z, w))
     assert abs(got - want) <= 1e-8 * (1 + abs(want))
 
@@ -328,19 +328,21 @@ def test_disk_model_metric_derivatives_match_closed_form(disk_model, z):
 def test_disk_model_mixed_derivative_entry(disk_model):
     z = 0.31 - 0.17j
     ref = sl.DiskMetric()
-    got = disk_model.kernel_mixed_derivative(z, 1, 2)
+    # d^j/dz^j d^k/dzetabar^k of the kernel on the diagonal is s_{j kbar} / pi
+    mixed = disk_model.metric_matrix(z, 2) / np.pi
+    got = mixed[1, 2]
     want = complex(ref.metric_derivative(z, 1, 2)) / np.pi
     assert abs(got - want) < 1e-8 * (1 + abs(want))
     # conjugate symmetry and consistency with the kernel diagonal
-    flip = disk_model.kernel_mixed_derivative(z, 2, 1)
+    flip = mixed[2, 1]
     assert abs(got - np.conj(flip)) < 1e-12 * (1 + abs(got))
-    base = disk_model.kernel_mixed_derivative(z, 0, 0)
-    assert abs(base - disk_model.kernel(z, z)) < 1e-12 * (1 + abs(base))
+    base = mixed[0, 0]
+    assert abs(base - disk_model.kernel_matrix(z, z)[0, 0]) < 1e-12 * (1 + abs(base))
 
 
 def test_model_kernel_at_disk_center(disk_model):
-    assert abs(disk_model.kernel(0.2 + 0.1j, 0.0) - 1.0 / np.pi) < 1e-10
-    assert abs(disk_model.kernel_mixed_derivative(0.0, 1, 1) - 2.0 / np.pi) < 1e-10
+    assert abs(disk_model.kernel_matrix(0.2 + 0.1j, 0.0)[0, 0] - 1.0 / np.pi) < 1e-10
+    assert abs(disk_model.metric_matrix(0.0, 1)[1, 1] / np.pi - 2.0 / np.pi) < 1e-10
 
 
 # -- defining identities of the model itself --------------------------------------
@@ -348,14 +350,14 @@ def test_model_kernel_at_disk_center(disk_model):
 
 @given(z=interior_annulus, w=interior_annulus)
 def test_kernel_hermitian_symmetry(annulus_model, z, w):
-    kzw = annulus_model.kernel(z, w)
-    kwz = annulus_model.kernel(w, z)
+    kzw = annulus_model.kernel_matrix(z, w)[0, 0]
+    kwz = annulus_model.kernel_matrix(w, z)[0, 0]
     assert abs(kzw - np.conj(kwz)) <= 1e-12 * (1 + abs(kzw))
 
 
 @given(z=interior_annulus)
 def test_kernel_diagonal_positive(annulus_model, z):
-    assert annulus_model.kernel(z, z).real > 0
+    assert annulus_model.kernel_matrix(z, z)[0, 0].real > 0
     assert annulus_model.metric(z) > 0
 
 
@@ -479,7 +481,7 @@ def test_interior_check_raises(annulus_model):
     with pytest.raises(sl.DomainError):
         annulus_model.metric(0.3 + 0.0j)  # inside the hole
     with pytest.raises(sl.DomainError):
-        annulus_model.kernel(1.2, 0.75)
+        annulus_model.kernel_matrix(1.2, 0.75)
 
 
 def test_interior_check_near_a_hole_between_nodes(annulus_model):
@@ -537,7 +539,7 @@ def test_save_load_roundtrip(annulus_model, tmp_path):
     assert text.startswith('{"format": "spanlab-model"')
     again = sl.KernelModel.load(str(path))
     z, w = 0.75 + 0.0j, 0.6 - 0.2j
-    assert abs(again.kernel(z, w) - annulus_model.kernel(z, w)) < 1e-14
+    assert abs(again.kernel_matrix(z, w)[0, 0] - annulus_model.kernel_matrix(z, w)[0, 0]) < 1e-14
     assert again.meta["degree"] == annulus_model.meta["degree"]
     # byte-determinism of the format itself
     path2 = tmp_path / "model2.json"

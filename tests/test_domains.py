@@ -1,6 +1,7 @@
-"""Geometry layer: curves, containment, scaling maps, clipped Hausdorff."""
+"""Geometry layer: curves, containment, scaling, clipped Hausdorff."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,21 @@ def test_inside_is_exact_near_the_ellipse(angle, log_depth, outward):
         assert not got  # inside the band is boundary
 
 
+def test_inside_on_many_points_is_sliced_and_matches_single_slices(rng):
+    # The winding-number branch builds (points x nodes) arrays; one unsliced
+    # pass over these 16384 points peaks at about 450 MB on the 512-node ellipse.
+    pts = rng.uniform(-1.1, 1.1, 16384) + 1j * rng.uniform(-0.7, 0.7, 16384)
+    tracemalloc.start()
+    try:
+        mask = _ELLIPSE.inside(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    stacked = [_ELLIPSE.inside(pts[i : i + 1000]) for i in range(0, pts.size, 1000)]
+    assert np.array_equal(mask, np.concatenate(stacked))
+
+
 # -- nearest boundary points ------------------------------------------------------
 
 _AFFINE = sl.annulus(1.25, outer_radius=2.5, center=1 - 1j)
@@ -295,48 +311,53 @@ def test_inner_normal_sequence(annulus_domain):
         sl.inner_normal_sequence(annulus_domain, 1.0, [0.6])  # lands in the hole
 
 
-# -- scaling maps ---------------------------------------------------------------
+# -- scaling ----------------------------------------------------------------------
+
+
+def _blow_up(domain, z):
+    """The scaling step of the experiments: center ``z``, scale ``dist(z)``."""
+    scale = -sl.signed_distance(domain, z)
+    return sl.scaled_domain(domain, z, scale), scale
 
 
 def test_scaling_map_roundtrip_on_nodes(annulus_domain):
-    patch = sl.DefiningFunctionPatch.from_domain(annulus_domain, 1.0 + 0.0j)
-    mapping = sl.scaling_map(annulus_domain, patch, 0.9 + 0.0j)
-    blown = sl.scaled_domain(annulus_domain, mapping)
+    z = 0.9 + 0.0j
+    blown, scale = _blow_up(annulus_domain, z)
     for old, new in zip(annulus_domain.curves, blown.curves):
-        assert np.max(np.abs(mapping.invert(new.points) - old.points)) < 1e-12
+        assert np.max(np.abs(new.points * scale + z - old.points)) < 1e-12
         assert new.nodes == old.nodes
 
 
 def test_scaling_map_sends_base_point_to_origin_frame(annulus_domain):
     p = np.exp(0.4j)
-    patch = sl.DefiningFunctionPatch.from_domain(annulus_domain, p)
-    z = 0.92 * p
-    mapping = sl.scaling_map(annulus_domain, patch, z)
-    w = mapping.apply(z)
-    assert abs(w) < 1e-12
-    # the boundary foot lands at distance 1 in the scaled frame
-    assert abs(mapping.apply(p) - patch.omega) < 1e-6
+    omega = sl.outward_normal(annulus_domain, p)
+    blown, _ = _blow_up(annulus_domain, 0.92 * p)
+    # the center goes to the origin, at distance 1 from the scaled boundary ...
+    assert abs(sl.signed_distance(blown, 0.0) + 1.0) < 1e-12
+    # ... and its boundary foot lands on the outward normal
+    assert abs(blown.nearest_boundary(0.0)[2][0] - omega) < 1e-6
 
 
 def test_scaling_map_requires_interior_point(annulus_domain):
-    patch = sl.DefiningFunctionPatch.from_domain(annulus_domain, 1.0 + 0.0j)
     with pytest.raises(sl.DomainError):
-        sl.scaling_map(annulus_domain, patch, 1.05)
+        _blow_up(annulus_domain, 1.05)
 
 
 def test_limit_halfplane_invariants(annulus_domain):
     p = np.exp(1.1j)
-    patch = sl.DefiningFunctionPatch.from_domain(annulus_domain, p)
-    half = sl.limit_halfplane(patch)
-    assert half.contains(0.0)
-    assert abs(half.distance(0.0) - 1.0 / abs(half.omega)) < 1e-12
-    # psi is a signed distance here, so |omega| = 1 and the boundary passes
-    # through omega itself.
-    assert abs(half.psi(half.omega)) < 1e-9
+    omega = sl.outward_normal(annulus_domain, p)
+    half = sl.HalfPlaneMetric(omega)
+    # the normal is a unit vector, so the half-plane {Re(conj(omega) z) < 1}
+    # holds the origin at distance 1/|omega| = 1 from its boundary line ...
+    assert abs(abs(omega) - 1.0) < 1e-12
+    assert abs(half.metric(0.0) - abs(omega) ** 2 / 4.0) < 1e-12
+    # ... and that line passes through omega itself.
+    line = half.boundary_samples(2.0, count=4097)
+    assert np.min(np.abs(line - omega)) < 1e-9
 
 
 def test_halfplane_boundary_samples_clip():
-    half = sl.HalfPlane(omega=1.0 + 0.0j)
+    half = sl.HalfPlaneMetric(omega=1.0 + 0.0j)
     pts = half.boundary_samples(3.0, count=257)
     assert np.max(np.abs(pts)) <= 3.0 + 1e-12
     assert np.max(np.abs(pts.real - 1.0)) < 1e-12
@@ -368,8 +389,7 @@ def test_hausdorff_distance_local_matches_brute_force(rng):
 
 
 def test_curve_samples_in_ball(annulus_domain):
-    mapping = sl.AffineScalingMap(center=1.0 + 0.0j, scale=0.05)
-    blown = sl.scaled_domain(annulus_domain, mapping)
+    blown = sl.scaled_domain(annulus_domain, 1.0 + 0.0j, 0.05)
     samples = curve_samples_in_ball(blown.outer, 5.0)
     assert samples.size >= 1000
     assert np.max(np.abs(samples)) <= 5.0 + 1e-9
