@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Print a sha256 digest of every output that a numerical change must keep.
+
+One ``sha256  name`` line per output:
+
+* for each experiment config in ``configs/`` (domain files are skipped), the
+  stdout of ``spanlab run`` with the output directory replaced by ``<out>``,
+  and each CSV and SVG file that it writes;
+* the raw bytes of ``metric`` and ``metric_matrix(z, 3)`` at 1000 seeded
+  points of a degree-2048 ``annulus(0.5)`` model, one call per point, and of
+  its ``kernel_matrix`` between those points and the first 64 of them.
+
+Run it on two checkouts and diff the output: equal lines mean bit-identical
+outputs.  Set ``OPENBLAS_NUM_THREADS=1`` on both, since the BLAS thread count
+can change the last bit of a matrix product.
+
+    PYTHONPATH=src python3 scripts/output_digest.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+import spanlab as sl
+from spanlab.cli import main as spanlab_main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _line(data: bytes, name: str) -> str:
+    return f"{hashlib.sha256(data).hexdigest()}  {name}"
+
+
+def config_digests(scratch: Path) -> tuple[list[str], bool]:
+    lines, ok = [], True
+    for config in sorted((ROOT / "configs").glob("*.json")):
+        if "experiment" not in json.loads(config.read_text(encoding="utf-8")):
+            continue  # a domain file, not a run config
+        out = scratch / config.stem
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            ok &= spanlab_main(["run", str(config), "--out", str(out)]) == 0
+        text = stdout.getvalue().replace(str(out), "<out>")
+        lines.append(_line(text.encode(), f"{config.stem}.stdout"))
+        for path in sorted(out.iterdir()):
+            lines.append(_line(path.read_bytes(), f"{config.stem}/{path.name}"))
+    return lines, ok
+
+
+def model_digests() -> list[str]:
+    # Probes at the band's edges pin the degree at 2048.  There, at every
+    # point of the band, one block's powers fall below 1e-154 before its end.
+    model = sl.build_model(sl.annulus(0.5), probes=[0.5505, 0.9495], watch_order=3, tol=1e-9)
+    if model.meta["degree"] != 2048:
+        raise SystemExit(f"expected a degree-2048 model, got {model.meta['degree']}")
+    rng = np.random.default_rng(0)
+    radii = np.sqrt(rng.uniform(0.55**2, 0.95**2, 1000))
+    points = radii * np.exp(2j * np.pi * rng.random(1000))
+    metric = np.array([model.metric(complex(z)) for z in points])
+    matrices = np.array([model.metric_matrix(complex(z), 3) for z in points])
+    return [
+        _line(metric.tobytes(), "model.metric"),
+        _line(matrices.tobytes(), "model.metric_matrix"),
+        _line(model.kernel_matrix(points, points[:64]).tobytes(), "model.kernel_matrix"),
+    ]
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as scratch:
+        lines, ok = config_digests(Path(scratch))
+    lines += model_digests()
+    print("\n".join(lines))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

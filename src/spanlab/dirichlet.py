@@ -30,9 +30,10 @@ Point evaluation goes through jets: ``BasisBlock.jet`` returns every derivative
 order up to ``n`` from one power ladder per block, and the model whitens the
 whole (size, n + 1) stack in one call, so the metric derivative matrix
 ``[s_{j kbar}]`` costs one ladder per block rather than one per block and
-order.  Before evaluating, the model checks that the points are interior with
-``Domain.inside``, which is a closed form when every boundary curve is a
-circle.
+order.  A ladder stops where the powers at every point are below ``sqrt(tiny)``
+and leaves exact zeros, so one point's evaluation does no subnormal arithmetic
+and gives the same outputs.  The model checks first that the points are
+interior with ``Domain.inside``, a closed form when all curves are circles.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ import numpy as np
 from .domains import BoundaryCurve, Domain, rotation_center
 from .errors import ConfigError, DomainError, QuadratureError
 from .linalg import hermitize, pivoted_cholesky, unwhiten_solve, whiten_cholesky
+
+# No product of two numbers this large is subnormal.  ``gram_dense`` zeroes
+# parts below it, and a power ladder stops where every power is below it.
+_FLUSH = np.sqrt(np.finfo(float).tiny)
 
 
 def _binary_power(square: np.ndarray, e: Sequence[int]) -> np.ndarray:
@@ -71,14 +76,32 @@ def _binary_power(square: np.ndarray, e: Sequence[int]) -> np.ndarray:
         square[:deep] = square[:deep] * square[:deep]
 
 
+def _ladder_rows(r: float, start: int, count: int) -> int:
+    """Leading rows of a ladder with ``max|base| = r`` that can reach ``_FLUSH``, plus two."""
+    if not r < 1.0:
+        return count
+    if r == 0.0:
+        return 1
+    return int(min(count, max(1.0, np.log(_FLUSH) / np.log(r) - start + 3)))
+
+
 def _power_ladder(
     base: np.ndarray, start: int, count: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Array of shape (count, len(base)) holding base**(start + i), in ``out`` if given."""
+    """Array of shape (count, len(base)) holding base**(start + i), in ``out`` if given.
+
+    The ladder stops two rows after every power has fallen below ``_FLUSH``
+    and leaves the later rows exact zeros, so a one-point ladder forms no
+    subnormal number.  The kept rows are the same ``cumprod`` prefix, bit for
+    bit, and a dropped value's square is below one ulp of any sum it enters.
+    """
     out = np.empty((count, base.size), dtype=complex) if out is None else out
-    out[:] = base[None, :]
-    out[0] = _binary_power(base[None, :].copy(), [start])[0]
-    np.cumprod(out, axis=0, out=out)
+    keep = _ladder_rows(float(np.max(np.abs(base), initial=0.0)), start, count)
+    head = out[:keep]
+    head[:] = base[None, :]
+    head[0] = _binary_power(base[None, :].copy(), [start])[0]
+    np.cumprod(head, axis=0, out=head)
+    out[keep:] = 0.0
     return out
 
 
@@ -200,9 +223,6 @@ def block_sizes(blocks: Sequence[BasisBlock]) -> int:
 
 
 # -- Gram assembly ----------------------------------------------------------
-
-
-_FLUSH = np.sqrt(np.finfo(float).tiny)
 
 
 def _flush_tiny(a: np.ndarray) -> np.ndarray:

@@ -219,13 +219,17 @@ def _segments_cross(pts_a: np.ndarray, pts_b: np.ndarray | None = None) -> bool:
 
 
 def _winding(curve: BoundaryCurve, pts: np.ndarray) -> np.ndarray:
-    """Winding number of ``curve``'s node polygon around each point.
+    """Winding number of ``curve``'s node polygon around each point."""
+    return _winding_of(curve.points[None, :] - pts[:, None])
+
+
+def _winding_of(rel: np.ndarray) -> np.ndarray:
+    """Winding numbers from the (points x nodes) node-minus-point differences.
 
     The turning angles come from ``conj(rel) * next`` rather than a quotient,
     so a point on a node gets a finite (meaningless) count instead of a
     division by zero; ``Domain.inside`` decides such points by the side test.
     """
-    rel = curve.points[None, :] - pts[:, None]
     following = np.concatenate((rel[:, 1:], rel[:, :1]), axis=1)
     turns = np.sum(np.angle(following * np.conj(rel)), axis=1)
     return np.rint(turns / (2.0 * np.pi)).astype(int)
@@ -354,9 +358,9 @@ class Domain:
             for lo in range(0, pts.size, _INSIDE_SLICE):
                 part = pts[lo : lo + _INSIDE_SLICE]
                 for q, curve in enumerate(self.curves):
-                    ok = _winding(curve, part) == (1 if q == 0 else 0)
-                    gaps = np.min(np.abs(curve.points[None, :] - part[:, None]), axis=1)
-                    near = np.flatnonzero(gaps < 2.0 * curve.spacing)
+                    rel = curve.points[None, :] - part[:, None]
+                    ok = _winding_of(rel) == (1 if q == 0 else 0)
+                    near = np.flatnonzero(np.min(np.abs(rel), axis=1) < 2.0 * curve.spacing)
                     jet = curve._jet(curve.nearest_parameter(part[near]), 1)
                     offset = part[near] - jet[:, 0]
                     outward = -1j * jet[:, 1]  # out of the domain on every curve

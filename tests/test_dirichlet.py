@@ -14,7 +14,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import spanlab as sl
-from spanlab.dirichlet import _FLUSH, _flush_tiny, _rows, block_sizes, evaluate_blocks
+from spanlab import dirichlet
+from spanlab.dirichlet import (
+    _FLUSH,
+    _binary_power,
+    _flush_tiny,
+    _ladder_rows,
+    _power_ladder,
+    _rows,
+    block_sizes,
+    evaluate_blocks,
+)
 from spanlab.linalg import hermitize, pivoted_cholesky
 
 interior_disk = st.tuples(st.floats(0.05, 0.8), st.floats(0.0, 2 * np.pi)).map(
@@ -185,6 +195,57 @@ def test_jet_matches_analytic_derivatives(kind, start, count, order, scale, radi
             want = _analytic_derivative(block, z, int(m), j)
             assert np.all(np.abs(jet[j, i] - want) <= 1e-13 * np.abs(want)), (j, m)
         assert np.array_equal(block.evaluate(z, j), block.jet(z, j)[j])
+
+
+@given(
+    moduli=st.lists(st.floats(0.05, 0.9999), min_size=1, max_size=4),
+    angle=st.floats(0.0, 2 * np.pi),
+    start=st.integers(0, 3),
+    count=st.integers(1, 4096),
+)
+def test_power_ladder_stops_only_below_the_flush(moduli, angle, start, count):
+    base = np.array(moduli) * np.exp(1j * (angle + np.arange(len(moduli))))
+    reference = np.empty((count, base.size), dtype=complex)
+    reference[:] = base
+    reference[0] = _binary_power(base[None, :].copy(), [start])[0]
+    np.cumprod(reference, axis=0, out=reference)
+    ladder = _power_ladder(base, start, count)
+    zero = ~np.any(ladder, axis=1)
+    assert np.array_equal(ladder[~zero].view(np.uint64), reference[~zero].view(np.uint64))
+    assert np.all(np.abs(reference[zero]) < _FLUSH)
+
+
+@pytest.mark.parametrize("radius", [0.55, 0.7, 0.9, 0.95])
+def test_jet_does_no_subnormal_arithmetic(radius):
+    z = radius * np.exp(0.3j)
+    for block in sl.build_blocks(sl.annulus(0.5), 2048):
+        with np.errstate(under="raise"):
+            block.jet(z, 3)
+            block.evaluate(z, -1)
+
+
+def test_floor_leaves_model_outputs_bit_identical(monkeypatch, rng):
+    dom = sl.annulus(0.5)
+    blocks = sl.build_blocks(dom, 2048)
+    model = sl.KernelModel(dom, blocks, sl.GramFactorization.from_diagonal(sl.gram_diagonal(dom, blocks)))
+    radii = rng.uniform(0.551, 0.949, 64)
+    pts = radii * np.exp(2j * np.pi * rng.random(64))
+    # At every point the ladder of at least one block stops early.
+    for z in pts:
+        assert min(_ladder_rows(abs(b.base(z)), b.start, b.count) for b in blocks) < 2048
+
+    def outputs():
+        return [
+            np.array([model.metric(z) for z in pts]),
+            model.metric(pts),
+            np.array([model.metric_matrix(z, 3) for z in pts]),
+            model.kernel_matrix(pts, pts),
+        ]
+
+    floored = outputs()
+    monkeypatch.setattr(dirichlet, "_ladder_rows", lambda r, start, count: count)
+    for got, want in zip(floored, outputs()):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 _finite_parts = st.one_of(

@@ -25,3 +25,20 @@ def test_curvature_scan_runs(tmp_path):
     rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
     assert len(rows) == 5
     assert all(row["margin1"] > 0.0 for row in rows)
+
+
+def test_output_digest_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "output_digest.py")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    # 5 run configs x (stdout, CSV, SVG), then metric, metric_matrix and kernel_matrix
+    lines = done.stdout.splitlines()
+    assert len(lines) == 18
+    assert all(len(line.split("  ")[0]) == 64 for line in lines)
