@@ -22,8 +22,6 @@ from .dirichlet import (
     build_blocks,
     build_model,
     default_probes,
-    dirichlet_inner,
-    gram_area_circular,
     gram_dense,
     gram_diagonal,
     spot_check_offdiagonal,
@@ -58,11 +56,9 @@ from .reference import (
     DiskMetric,
     HalfPlaneMetric,
     LensMetric,
-    MobiusMap,
     halfdisk_density,
-    inverted_domain,
 )
-from .shapes import annulus, disk, domain_from_dict, ellipse, load_domain
+from .shapes import annulus, disk, domain_from_dict, ellipse
 
 __version__ = "0.1.0"
 
@@ -84,7 +80,6 @@ __all__ = [
     "HalfPlaneMetric",
     "KernelModel",
     "LensMetric",
-    "MobiusMap",
     "QuadratureError",
     "annulus",
     "build_blocks",
@@ -94,20 +89,16 @@ __all__ = [
     "curvature_profile",
     "default_probes",
     "default_schedule",
-    "dirichlet_inner",
     "disk",
     "domain_from_dict",
     "ellipse",
     "gaussian_curvature_fd_oracle",
-    "gram_area_circular",
     "gram_dense",
     "gram_diagonal",
     "halfdisk_density",
     "hausdorff_distance_local",
     "higher_order_curvature",
     "inner_normal_sequence",
-    "inverted_domain",
-    "load_domain",
     "outward_normal",
     "rotation_center",
     "run_experiment",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -18,7 +17,7 @@ from .dirichlet import build_model, default_probes
 from .errors import ConfigError, DomainError
 from .lab import ExperimentConfig, run_experiment
 from .reference import DiskMetric, HalfPlaneMetric, LensMetric, halfdisk_density
-from .shapes import domain_from_dict, json_number, json_numbers
+from .shapes import domain_from_dict, json_number, json_numbers, read_json
 
 
 # Numeric keys of a run config, each with its conversion to the
@@ -34,12 +33,8 @@ _NUMERIC_KEYS = {
 _RUN_KEYS = {"experiment", "domain", *_NUMERIC_KEYS}
 
 
-def _load_run_config(path: str) -> tuple[list[str], object, ExperimentConfig]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+def _run_config(raw, path: str) -> tuple[list[str], object, ExperimentConfig]:
+    """Experiment names, domain and config from ``raw``, the parsed file at ``path``."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     extra = set(raw) - _RUN_KEYS
@@ -71,7 +66,7 @@ def _load_run_config(path: str) -> tuple[list[str], object, ExperimentConfig]:
 
 
 def _cmd_run(args) -> int:
-    names, domain, config = _load_run_config(args.config)
+    names, domain, config = _run_config(read_json(args.config), args.config)
     all_ok = True
     for name in names:
         result = run_experiment(name, domain, config)
@@ -167,13 +162,9 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_validate(args) -> int:
     """Validate a domain file or a full run config without running experiments."""
-    with open(args.domain, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.domain}: invalid JSON ({exc})") from None
+    raw = read_json(args.domain)
     if isinstance(raw, dict) and "experiment" in raw:
-        names, domain, config = _load_run_config(args.domain)
+        names, domain, config = _run_config(raw, args.domain)
         print(f"config: experiments {names}, base point {config.base_point}")
         print(f"steps: {len(config.steps)} from {config.steps[0]:g} to {config.steps[-1]:g}")
     else:

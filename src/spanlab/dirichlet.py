@@ -38,13 +38,12 @@ interior with ``Domain.inside``, a closed form when all curves are circles.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .domains import BoundaryCurve, Domain, rotation_center
+from .domains import Domain, rotation_center
 from .errors import ConfigError, DomainError, QuadratureError
 from .linalg import hermitize, pivoted_cholesky, unwhiten_solve, whiten_cholesky
 
@@ -177,39 +176,23 @@ class BasisBlock:
         return coeff[:, None] * rows
 
 
-def build_blocks(
-    domain: Domain,
-    outer_degree: int,
-    hole_degree: int | Sequence[int] | None = None,
-) -> list[BasisBlock]:
-    """Basis blocks: outer monomials plus ``m >= 2`` inverse powers per hole.
-
-    ``hole_degree`` may be a single count shared by all holes (default: the
-    outer degree) or one count per hole.
-    """
-    if outer_degree < 1:
-        raise ConfigError("outer degree must be at least 1")
-    if hole_degree is None:
-        hole_counts = [outer_degree] * len(domain.holes)
-    elif np.isscalar(hole_degree):
-        hole_counts = [int(hole_degree)] * len(domain.holes)
-    else:
-        hole_counts = [int(n) for n in hole_degree]
-        if len(hole_counts) != len(domain.holes):
-            raise ConfigError("need one hole degree per hole")
+def build_blocks(domain: Domain, degree: int) -> list[BasisBlock]:
+    """Basis blocks: ``degree`` outer monomials plus ``degree`` inverse powers per hole."""
+    if degree < 1:
+        raise ConfigError("degree must be at least 1")
     blocks = [
         BasisBlock(
             kind="monomial",
             center=domain.centroid,
             scale=domain.outer.radius_bound(),
             start=0,
-            count=outer_degree,
+            count=degree,
         )
     ]
-    for hole, anchor, count in zip(domain.holes, domain.anchors, hole_counts):
+    for hole, anchor in zip(domain.holes, domain.anchors):
         sigma = float(np.min(np.abs(hole.points - anchor)))
         blocks.append(
-            BasisBlock(kind="pole", center=anchor, scale=sigma, start=2, count=count)
+            BasisBlock(kind="pole", center=anchor, scale=sigma, start=2, count=degree)
         )
     return blocks
 
@@ -230,9 +213,10 @@ def _flush_tiny(a: np.ndarray) -> np.ndarray:
 
     A product of two parts that survive is at least ``tiny``, so every
     product formed in a matrix product of flushed operands is a normal number.
+    Any memory layout works: a Cholesky whitening returns Fortran order.
     """
-    parts = a.view(float)
-    parts[np.abs(parts) < _FLUSH] = 0.0
+    for parts in (a.real, a.imag):
+        parts[np.abs(parts) < _FLUSH] = 0.0
     return a
 
 
@@ -387,59 +371,6 @@ def zero_period_residual(domain: Domain, blocks: Sequence[BasisBlock]) -> float:
     return worst
 
 
-def gram_area_circular(
-    domain: Domain,
-    blocks: Sequence[BasisBlock],
-    radial_nodes: int = 200,
-) -> np.ndarray:
-    """Gram matrix by direct polar area quadrature (independent oracle route).
-
-    Only rotation-invariant domains are supported: Gauss-Legendre radially,
-    trapezoid in angle.  Deliberately dumb and separate from the boundary
-    route so the two can cross-check each other.
-    """
-    center = rotation_center(domain)
-    if center is None:
-        raise ConfigError("area oracle needs concentric circular boundaries")
-    outer_r = domain.outer.circle_data()[1]
-    inner_r = domain.holes[0].circle_data()[1] if domain.holes else 0.0
-    r_nodes, r_weights = np.polynomial.legendre.leggauss(radial_nodes)
-    r = 0.5 * (outer_r - inner_r) * (r_nodes + 1.0) + inner_r
-    wr = 0.5 * (outer_r - inner_r) * r_weights * r
-    n_theta = 2 * block_sizes(blocks) + 32
-    theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
-    grid = center + np.outer(r, np.exp(1j * theta)).ravel()
-    weights = np.repeat(wr, n_theta) * (2.0 * np.pi / n_theta)
-    values = evaluate_blocks(blocks, grid, 0)
-    gram = (values * weights) @ values.conj().T
-    return hermitize(gram)[0]
-
-
-def dirichlet_inner(domain: Domain, f, g_primitive, nodes: int = 1024) -> complex:
-    """``int_D f conj(g) dA`` through Stokes, given ``g``'s primitive.
-
-    ``f`` must have a single-valued primitive on the domain (all model basis
-    functions do), otherwise the boundary formula picks up period terms.  The
-    integral is recomputed at doubled node count, and a disagreement beyond
-    1e-8 relative raises ``QuadratureError``.
-    """
-
-    def at(n: int) -> complex:
-        total = 0.0 + 0.0j
-        for curve in domain.curves:
-            c = curve if curve.nodes == n else curve.resample(n)
-            total += np.sum(f(c.points) * np.conj(g_primitive(c.points)) * c.complex_weights)
-        return total / 2j
-
-    coarse = at(nodes)
-    fine = at(2 * nodes)
-    if abs(coarse - fine) > 1e-8 * (1.0 + abs(fine)):
-        raise QuadratureError(
-            f"boundary quadrature not converged: {coarse} vs {fine} at {nodes}/{2 * nodes} nodes"
-        )
-    return fine
-
-
 # -- factorization and model ------------------------------------------------
 
 
@@ -497,16 +428,12 @@ class KernelModel:
     """A computable reduced Bergman kernel: basis blocks plus Gram factorization."""
 
     def __init__(
-        self,
-        domain: Domain,
-        blocks: Sequence[BasisBlock],
-        factorization: GramFactorization,
-        meta: dict | None = None,
+        self, domain: Domain, blocks: Sequence[BasisBlock], factorization: GramFactorization
     ):
         self.domain = domain
         self.blocks = list(blocks)
         self.factorization = factorization
-        self.meta = dict(meta or {})
+        self.meta: dict = {}
 
     def _require_interior(self, pts: np.ndarray) -> None:
         mask = self.domain.inside(pts)
@@ -523,12 +450,17 @@ class KernelModel:
         return float(self.meta.get("eps_model", np.nan))
 
     def kernel_matrix(self, z, zeta) -> np.ndarray:
-        """Matrix of kernel values, entry [i, j] = K(z_i, zeta_j)."""
+        """Matrix of kernel values, entry [i, j] = K(z_i, zeta_j).
+
+        The whitened operands are flushed as in ``gram_dense``: a batch across
+        the band keeps every ladder row, and the product would otherwise run
+        on their subnormal parts.
+        """
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
         self._require_interior(np.concatenate([z, zeta]))
-        wz = self.factorization.whiten(evaluate_blocks(self.blocks, z))
-        ww = self.factorization.whiten(evaluate_blocks(self.blocks, zeta))
+        wz = _flush_tiny(self.factorization.whiten(evaluate_blocks(self.blocks, z)))
+        ww = _flush_tiny(self.factorization.whiten(evaluate_blocks(self.blocks, zeta)))
         return wz.T @ ww.conj()
 
     def metric(self, z):
@@ -557,113 +489,6 @@ class KernelModel:
         self._require_interior(np.array([zeta], dtype=complex))
         v = evaluate_blocks(self.blocks, [zeta])[:, 0]
         return np.conj(self.factorization.solve(v))
-
-    # -- persistence --------------------------------------------------------
-    #
-    # Text format (JSON, one object per file):
-    #   format:        "spanlab-model", version 1
-    #   curves:        [{nodes, wavenumbers: [k...], coefficients: [[re,im]...]}]
-    #                  (curve 0 is the outer boundary, the rest are holes)
-    #   anchors:       [[re, im] ...], one point inside each hole
-    #   blocks:        [{kind, center: [re,im], scale, start, count} ...]
-    #   factorization: {kind: "diagonal", diag: [...]}
-    #                  or {kind: "cholesky", perm, pivots, L: [[[re,im]...]...]}
-    #   meta:          build diagnostics (degree, eps_model, ...)
-
-    def save(self, path: str) -> None:
-        payload = {
-            "format": "spanlab-model",
-            "version": 1,
-            "curves": [
-                {
-                    "nodes": curve.nodes,
-                    "wavenumbers": [int(k) for k in curve.wavenumbers],
-                    "coefficients": _complex_list(curve.coefficients),
-                }
-                for curve in self.domain.curves
-            ],
-            "anchors": [[a.real, a.imag] for a in self.domain.anchors],
-            "blocks": [
-                {
-                    "kind": b.kind,
-                    "center": [b.center.real, b.center.imag],
-                    "scale": b.scale,
-                    "start": b.start,
-                    "count": b.count,
-                }
-                for b in self.blocks
-            ],
-            "factorization": self._factorization_payload(),
-            "meta": self.meta,
-        }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, default=float)
-            handle.write("\n")
-
-    def _factorization_payload(self) -> dict:
-        fact = self.factorization
-        if fact.kind == "diagonal":
-            return {"kind": "diagonal", "diag": fact.diag.tolist()}
-        return {
-            "kind": "cholesky",
-            "perm": fact.perm.tolist(),
-            "pivots": fact.pivots.tolist(),
-            "L": [_complex_list(row) for row in fact.L],
-        }
-
-    @classmethod
-    def load(cls, path: str) -> "KernelModel":
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if payload.get("format") != "spanlab-model":
-            raise ConfigError(f"{path} is not a saved kernel model")
-        curves = [
-            BoundaryCurve(
-                {
-                    int(k): complex(c[0], c[1])
-                    for k, c in zip(entry["wavenumbers"], entry["coefficients"])
-                },
-                nodes=int(entry["nodes"]),
-            )
-            for entry in payload["curves"]
-        ]
-        domain = Domain(
-            outer=curves[0],
-            holes=curves[1:],
-            anchors=[complex(a[0], a[1]) for a in payload["anchors"]],
-            validate=False,
-        )
-        blocks = [
-            BasisBlock(
-                kind=b["kind"],
-                center=complex(b["center"][0], b["center"][1]),
-                scale=float(b["scale"]),
-                start=int(b["start"]),
-                count=int(b["count"]),
-            )
-            for b in payload["blocks"]
-        ]
-        stored = payload["factorization"]
-        if stored["kind"] == "diagonal":
-            fact = GramFactorization.from_diagonal(np.asarray(stored["diag"], dtype=float))
-        else:
-            fact = GramFactorization(
-                kind="cholesky",
-                size=block_sizes(blocks),
-                perm=np.asarray(stored["perm"], dtype=int),
-                L=_complex_array(stored["L"]),
-                pivots=np.asarray(stored["pivots"], dtype=float),
-            )
-        return cls(domain, blocks, fact, meta=payload["meta"])
-
-
-def _complex_list(values: np.ndarray) -> list:
-    return [[v.real, v.imag] for v in np.asarray(values, dtype=complex)]
-
-
-def _complex_array(pairs: list) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
 
 
 # -- adaptive construction --------------------------------------------------

@@ -1,4 +1,10 @@
-"""Closed-form reference metrics, kernels, and conformal helpers.
+"""Closed-form reference metrics and kernels, and the maps that carry them.
+
+The disk, the half-plane and the two-corner lens have exact span metrics; the
+disk automorphism moves the disk's metric around, and the lens metric comes
+from an explicit uniformization.  The Moebius inversion that turns a hole
+inside out serves only a test oracle, and lives with the other test-only
+oracles in ``tests/oracles.py``.
 
 Everything called a *metric* here is the squared density ``s``: on the unit
 disk ``s(z) = 1/(1-|z|^2)^2``.  A curvature ``-1`` first-power density
@@ -15,7 +21,6 @@ from math import comb, factorial
 
 import numpy as np
 
-from .domains import BoundaryCurve, Domain
 from .errors import DomainError, EmptyClipError
 
 
@@ -243,65 +248,3 @@ class LensMetric:
         w = self.uniformize(z)
         dw = self.uniformize_derivative(z)
         return np.abs(dw) ** 2 / (4.0 * w.imag**2)
-
-
-@dataclass(frozen=True)
-class MobiusMap:
-    """The inversion ``w = scale / (z - anchor)`` and its inverse."""
-
-    anchor: complex
-    scale: float
-
-    def apply(self, z):
-        return self.scale / (np.asarray(z, dtype=complex) - self.anchor)
-
-    def invert(self, w):
-        return self.anchor + self.scale / np.asarray(w, dtype=complex)
-
-    def derivative(self, z):
-        return -self.scale / (np.asarray(z, dtype=complex) - self.anchor) ** 2
-
-
-def _refit_curve(points: np.ndarray, nodes: int) -> BoundaryCurve:
-    """Trig-poly fit of equispaced samples of an analytic closed curve."""
-    n = points.size
-    coeffs_full = np.fft.fft(points) / n
-    ks = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    top = float(np.max(np.abs(coeffs_full)))
-    keep = (np.abs(coeffs_full) > 1e-13 * top) & (np.abs(ks) < n // 2)
-    coefficients = {int(k): complex(c) for k, c in zip(ks[keep], coeffs_full[keep])}
-    return BoundaryCurve(coefficients, nodes=nodes)
-
-
-def inverted_domain(domain: Domain, hole_index: int) -> tuple[Domain, MobiusMap]:
-    """Turn hole ``hole_index`` inside out: its boundary becomes the outer curve.
-
-    The Moebius inversion centered at the hole's anchor maps the domain
-    conformally onto a new finitely connected domain whose outer boundary is
-    the image of the selected hole; the old outer curve becomes a hole with
-    anchor ``0`` (the image of infinity).  The span metric pulls back through
-    the map: ``s_old(z) = s_new(w(z)) |w'(z)|^2``.  This serves the Moebius
-    invariance oracle: a model of the inverted domain, pulled back, must give
-    the metric of a model of the original one.  The experiments need no such
-    step; they accept a base point on any boundary curve.
-    """
-    if not 0 <= hole_index < len(domain.holes):
-        raise DomainError(f"domain has no hole {hole_index}")
-    anchor = domain.anchors[hole_index]
-    hole = domain.holes[hole_index]
-    scale = float(np.min(np.abs(hole.points - anchor)))
-    mapping = MobiusMap(anchor=anchor, scale=scale)
-
-    def move(curve: BoundaryCurve) -> BoundaryCurve:
-        dense = curve.resample(max(curve.nodes * 2, 1024))
-        return _refit_curve(mapping.apply(dense.points), nodes=curve.nodes)
-
-    new_outer = move(hole)
-    new_holes = [move(domain.outer)]
-    new_anchors = [0.0 + 0.0j]
-    for q, other in enumerate(domain.holes):
-        if q == hole_index:
-            continue
-        new_holes.append(move(other))
-        new_anchors.append(complex(mapping.apply(domain.anchors[q])))
-    return Domain(new_outer, new_holes, new_anchors), mapping

@@ -238,10 +238,10 @@ def domain_from_dict(obj: dict) -> Domain:
     return Domain(outer=outer, holes=holes, anchors=anchors)
 
 
-def load_domain(path: str) -> Domain:
+def read_json(path: str) -> Any:
+    """The parsed contents of a JSON file; a syntax error is a ``ConfigError``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    return domain_from_dict(obj)

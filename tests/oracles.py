@@ -1,0 +1,139 @@
+"""Independent oracles that only the tests use.
+
+Each one reaches a number by a route the package does not take, so a test
+can hold the package's result against it:
+
+* ``gram_area_circular``: the Gram matrix by polar area quadrature, against
+  the boundary (Stokes) route of ``gram_dense`` and ``gram_diagonal``;
+* ``dirichlet_inner``: one Dirichlet inner product by boundary quadrature at
+  two node counts, for the reproducing identity of a model's kernel;
+* ``inverted_domain`` and ``MobiusMap``: the inversion that turns a hole
+  inside out, for the Moebius invariance of the span metric.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from spanlab.dirichlet import BasisBlock, block_sizes, evaluate_blocks
+from spanlab.domains import BoundaryCurve, Domain, rotation_center
+from spanlab.errors import ConfigError, DomainError, QuadratureError
+from spanlab.linalg import hermitize
+
+
+def gram_area_circular(
+    domain: Domain,
+    blocks: Sequence[BasisBlock],
+    radial_nodes: int = 200,
+) -> np.ndarray:
+    """Gram matrix by direct polar area quadrature (independent oracle route).
+
+    Only rotation-invariant domains are supported: Gauss-Legendre radially,
+    trapezoid in angle.  Deliberately dumb and separate from the boundary
+    route so the two can cross-check each other.
+    """
+    center = rotation_center(domain)
+    if center is None:
+        raise ConfigError("area oracle needs concentric circular boundaries")
+    outer_r = domain.outer.circle_data()[1]
+    inner_r = domain.holes[0].circle_data()[1] if domain.holes else 0.0
+    r_nodes, r_weights = np.polynomial.legendre.leggauss(radial_nodes)
+    r = 0.5 * (outer_r - inner_r) * (r_nodes + 1.0) + inner_r
+    wr = 0.5 * (outer_r - inner_r) * r_weights * r
+    n_theta = 2 * block_sizes(blocks) + 32
+    theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
+    grid = center + np.outer(r, np.exp(1j * theta)).ravel()
+    weights = np.repeat(wr, n_theta) * (2.0 * np.pi / n_theta)
+    values = evaluate_blocks(blocks, grid, 0)
+    gram = (values * weights) @ values.conj().T
+    return hermitize(gram)[0]
+
+
+def dirichlet_inner(domain: Domain, f, g_primitive, nodes: int = 1024) -> complex:
+    """``int_D f conj(g) dA`` through Stokes, given ``g``'s primitive.
+
+    ``f`` must have a single-valued primitive on the domain (all model basis
+    functions do), otherwise the boundary formula picks up period terms.  The
+    integral is recomputed at doubled node count, and a disagreement beyond
+    1e-8 relative raises ``QuadratureError``.
+    """
+
+    def at(n: int) -> complex:
+        total = 0.0 + 0.0j
+        for curve in domain.curves:
+            c = curve if curve.nodes == n else curve.resample(n)
+            total += np.sum(f(c.points) * np.conj(g_primitive(c.points)) * c.complex_weights)
+        return total / 2j
+
+    coarse = at(nodes)
+    fine = at(2 * nodes)
+    if abs(coarse - fine) > 1e-8 * (1.0 + abs(fine)):
+        raise QuadratureError(
+            f"boundary quadrature not converged: {coarse} vs {fine} at {nodes}/{2 * nodes} nodes"
+        )
+    return fine
+
+
+@dataclass(frozen=True)
+class MobiusMap:
+    """The inversion ``w = scale / (z - anchor)`` and its inverse."""
+
+    anchor: complex
+    scale: float
+
+    def apply(self, z):
+        return self.scale / (np.asarray(z, dtype=complex) - self.anchor)
+
+    def invert(self, w):
+        return self.anchor + self.scale / np.asarray(w, dtype=complex)
+
+    def derivative(self, z):
+        return -self.scale / (np.asarray(z, dtype=complex) - self.anchor) ** 2
+
+
+def _refit_curve(points: np.ndarray, nodes: int) -> BoundaryCurve:
+    """Trig-poly fit of equispaced samples of an analytic closed curve."""
+    n = points.size
+    coeffs_full = np.fft.fft(points) / n
+    ks = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    top = float(np.max(np.abs(coeffs_full)))
+    keep = (np.abs(coeffs_full) > 1e-13 * top) & (np.abs(ks) < n // 2)
+    coefficients = {int(k): complex(c) for k, c in zip(ks[keep], coeffs_full[keep])}
+    return BoundaryCurve(coefficients, nodes=nodes)
+
+
+def inverted_domain(domain: Domain, hole_index: int) -> tuple[Domain, MobiusMap]:
+    """Turn hole ``hole_index`` inside out: its boundary becomes the outer curve.
+
+    The Moebius inversion centered at the hole's anchor maps the domain
+    conformally onto a new finitely connected domain whose outer boundary is
+    the image of the selected hole; the old outer curve becomes a hole with
+    anchor ``0`` (the image of infinity).  The span metric pulls back through
+    the map: ``s_old(z) = s_new(w(z)) |w'(z)|^2``.  This serves the Moebius
+    invariance oracle: a model of the inverted domain, pulled back, must give
+    the metric of a model of the original one.  The experiments need no such
+    step; they accept a base point on any boundary curve.
+    """
+    if not 0 <= hole_index < len(domain.holes):
+        raise DomainError(f"domain has no hole {hole_index}")
+    anchor = domain.anchors[hole_index]
+    hole = domain.holes[hole_index]
+    scale = float(np.min(np.abs(hole.points - anchor)))
+    mapping = MobiusMap(anchor=anchor, scale=scale)
+
+    def move(curve: BoundaryCurve) -> BoundaryCurve:
+        dense = curve.resample(max(curve.nodes * 2, 1024))
+        return _refit_curve(mapping.apply(dense.points), nodes=curve.nodes)
+
+    new_outer = move(hole)
+    new_holes = [move(domain.outer)]
+    new_anchors = [0.0 + 0.0j]
+    for q, other in enumerate(domain.holes):
+        if q == hole_index:
+            continue
+        new_holes.append(move(other))
+        new_anchors.append(complex(mapping.apply(domain.anchors[q])))
+    return Domain(new_outer, new_holes, new_anchors), mapping

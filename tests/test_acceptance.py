@@ -10,9 +10,10 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import dirichlet_inner, gram_area_circular
 
 import spanlab as sl
-from spanlab.dirichlet import build_blocks, evaluate_blocks, gram_area_circular, gram_dense
+from spanlab.dirichlet import build_blocks, evaluate_blocks, gram_dense
 
 # the dyadic depth schedule 0.128 * 2^-j, j = 0..7, ends exactly at t = 1e-3
 DEPTHS = tuple(0.128 * 0.5**j for j in range(8))
@@ -191,7 +192,7 @@ def test_criterion_8_property_suite(disk_domain, annulus_domain, annulus_model):
         def basis_fn(pts, index=index):
             return evaluate_blocks(annulus_model.blocks, pts, 0)[index]
 
-        got = sl.dirichlet_inner(annulus_model.domain, basis_fn, section_primitive, nodes=2048)
+        got = dirichlet_inner(annulus_model.domain, basis_fn, section_primitive, nodes=2048)
         want = complex(basis_fn(np.array([zeta]))[0])
         repro_ok = repro_ok and abs(got - want) <= 1e-8 * (1 + abs(want))
     checks["reproduction identity"] = repro_ok

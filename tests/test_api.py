@@ -1,4 +1,4 @@
-"""The public API: every exported name and every benchmark-traced function exists.
+"""The public API: the pinned exported names, and every benchmark-traced function.
 
 ``perfbench/spans.py`` patches the functions it traces by dotted name; it is
 read here as text, so deleting one of them fails this fast test rather than
@@ -40,3 +40,57 @@ def test_traced_targets_resolve():
 
 def test_public_names_exist():
     assert [name for name in sl.__all__ if not hasattr(sl, name)] == []
+
+
+def test_public_api_is_pinned():
+    assert sl.__all__ == [
+        "BasisBlock",
+        "BoundaryCurve",
+        "ConfigError",
+        "CurvatureError",
+        "CurvatureReport",
+        "DiskAutomorphism",
+        "DiskMetric",
+        "Domain",
+        "DomainError",
+        "EmptyClipError",
+        "EXPERIMENTS",
+        "ExperimentConfig",
+        "ExperimentResult",
+        "GramFactorization",
+        "HalfPlaneMetric",
+        "KernelModel",
+        "LensMetric",
+        "QuadratureError",
+        "annulus",
+        "build_blocks",
+        "build_model",
+        "burbea_bound",
+        "curvature_from_matrix",
+        "curvature_profile",
+        "default_probes",
+        "default_schedule",
+        "disk",
+        "domain_from_dict",
+        "ellipse",
+        "gaussian_curvature_fd_oracle",
+        "gram_dense",
+        "gram_diagonal",
+        "halfdisk_density",
+        "hausdorff_distance_local",
+        "higher_order_curvature",
+        "inner_normal_sequence",
+        "outward_normal",
+        "rotation_center",
+        "run_experiment",
+        "scaled_domain",
+        "signed_distance",
+        "spot_check_offdiagonal",
+        "zero_period_residual",
+    ]
+
+
+def test_test_only_oracles_are_not_public():
+    # They live in tests/oracles.py; the package keeps what its callers use.
+    moved = ("gram_area_circular", "dirichlet_inner", "MobiusMap", "inverted_domain", "load_domain")
+    assert [name for name in moved if hasattr(sl, name)] == []

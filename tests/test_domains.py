@@ -11,6 +11,7 @@ from scipy.spatial.distance import cdist
 
 import spanlab as sl
 from spanlab.domains import BAND_FACTOR, curve_samples_in_ball
+from spanlab.shapes import read_json
 
 # -- curves -------------------------------------------------------------------
 
@@ -474,13 +475,13 @@ def test_load_domain_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(sl.ConfigError, match="invalid JSON"):
-        sl.load_domain(str(path))
+        sl.domain_from_dict(read_json(str(path)))
 
 
 def test_load_domain_file(tmp_path):
     path = tmp_path / "ann.json"
     path.write_text(json.dumps(annulus_dict()), encoding="utf-8")
-    dom = sl.load_domain(str(path))
+    dom = sl.domain_from_dict(read_json(str(path)))
     assert dom.contains(0.75)
 
 
