@@ -62,6 +62,11 @@ def _run_config(raw, path: str) -> tuple[list[str], object, ExperimentConfig]:
         names = [names]
     else:
         raise ConfigError(f"{path}: experiment must be a name or 'all'")
+    for name in names:
+        if name not in lab.EXPERIMENTS:
+            raise ConfigError(
+                f"{path}: unknown experiment {name!r}; choose from {sorted(lab.EXPERIMENTS)}"
+            )
     return names, domain, config
 
 

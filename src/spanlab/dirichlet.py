@@ -128,16 +128,20 @@ class BasisBlock:
         """Angular frequency of each function on circles about the center."""
         return self.powers if self.kind == "monomial" else -self.powers
 
-    def jet(self, z, order: int) -> np.ndarray:
+    def jet(self, z, order: int, out: np.ndarray | None = None) -> np.ndarray:
         """(order + 1, count, len(z)) array of the derivatives of orders 0..order.
 
         One power ladder serves every order.  A monomial's order-j row is the
         ladder shifted down by j, times ``falling(m, j) / scale^j``; a pole's is
-        the ladder itself times ``(-1)^j rising(m, j) (z - a)^-j``.
+        the ladder itself times ``(-1)^j rising(m, j) (z - a)^-j``.  The array
+        is ``out`` when given, overwritten.
         """
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         u = self.base(z)
-        out = np.zeros((order + 1, self.count, z.size), dtype=complex)
+        if out is None:
+            out = np.zeros((order + 1, self.count, z.size), dtype=complex)
+        else:
+            out.fill(0.0)
         powers = self.powers
         factorial = np.ones(self.count)  # falling(m, j) or rising(m, j)
         if self.kind == "monomial":
@@ -434,6 +438,7 @@ class KernelModel:
         self.blocks = list(blocks)
         self.factorization = factorization
         self.meta: dict = {}
+        self._scratch: dict[int, np.ndarray] = {}  # see metric_matrix
 
     def _require_interior(self, pts: np.ndarray) -> None:
         mask = self.domain.inside(pts)
@@ -478,11 +483,19 @@ class KernelModel:
         Built as ``pi U U^*`` from the whitened derivative vectors ``U`` of
         orders 0..order, so it is positive semidefinite by construction: one
         jet per basis block and one whitening call for all orders.
+
+        The jets, and then their conjugate, go into one array kept per order
+        and reused (so two threads must not share a model here): fresh arrays,
+        about 1 MB at degree 2048, can cost a page fault per 4 KB on each call.
         """
         self._require_interior(np.array([z], dtype=complex))
-        jet = np.concatenate([b.jet([z], order)[:, :, 0] for b in self.blocks], axis=1)
-        u = self.factorization.whiten(jet.T).T
-        return np.pi * (u @ u.conj().T)
+        if order not in self._scratch:
+            self._scratch[order] = np.empty((order + 1, self.size, 1), dtype=complex)
+        jet = self._scratch[order]
+        for b, stop in zip(self.blocks, np.cumsum([b.count for b in self.blocks])):
+            b.jet([z], order, out=jet[:, stop - b.count : stop])
+        u = self.factorization.whiten(jet[:, :, 0].T).T
+        return np.pi * (u @ np.conjugate(u, out=jet[:, : u.shape[1], 0]).T)
 
     def kernel_coefficients(self, zeta: complex) -> np.ndarray:
         """Coefficients beta with K(., zeta) = sum_j beta_j g_j."""

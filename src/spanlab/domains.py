@@ -16,7 +16,9 @@ boundary cycle of the domain.
 know whether a point is interior asks it.  ``BoundaryCurve.nearest_parameter``
 is the one nearest-point routine: a Newton solve vectorised over an array of
 points, which ``Domain.nearest_boundary`` (distances, feet, normals) and the
-side test inside ``Domain.inside`` both call.
+side test inside ``Domain.inside`` both call.  ``_check_simple`` is the one
+validation routine: one pass over every segment of every node polyline, with
+a k-d tree, finds the self-intersections and crossings.
 
 The scaling principle needs no objects of its own: ``scaled_domain(domain,
 z, -signed_distance(domain, z))`` is the blown-up domain at an interior point
@@ -31,7 +33,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .errors import DomainError, EmptyClipError
 
@@ -67,9 +68,6 @@ class BoundaryCurve:
         self.speed = np.abs(self.velocities)
         if np.min(self.speed) <= 0.0:
             raise DomainError("curve parametrization has a stationary point")
-        # outward normal for a counterclockwise curve; for a clockwise hole
-        # curve the same formula points out of the domain (into the hole)
-        self.normals = -1j * self.velocities / self.speed
         dt = 2.0 * np.pi / self.nodes
         self.weights = dt * self.speed
         self.complex_weights = dt * self.velocities
@@ -182,40 +180,39 @@ class BoundaryCurve:
         return t
 
 
-def _validation_polyline(curve: BoundaryCurve) -> np.ndarray:
-    """Curve nodes thinned to at most ~1024 points for the crossing test."""
-    step = max(1, curve.nodes // 1024)
-    return curve.points[::step]
+def _check_simple(curves: Sequence[BoundaryCurve], tol: float) -> None:
+    """Raise ``DomainError`` unless the node polylines of ``curves`` are simple and disjoint.
 
-
-def _segments_cross(pts_a: np.ndarray, pts_b: np.ndarray | None = None) -> bool:
-    """Strict transversal crossing between closed-polyline segments.
-
-    With one argument, tests the polyline against itself (adjacent segment
-    pairs excluded); with two, tests every segment of one against every
-    segment of the other.  Grazing contact is deliberately not flagged here;
-    the pointwise distance check above handles near-tangency with a
-    tolerance.
+    Non-adjacent nodes of one curve closer than ``tol`` are a self-intersection
+    at sample resolution.  Two segments cross when each strictly separates the
+    ends of the other.  Segments that meet, or start less than ``tol`` apart,
+    have midpoints at most the longest segment plus ``tol`` apart, so a k-d
+    tree over the midpoints yields every pair that needs either test.
     """
-    a0 = pts_a
-    a1 = np.roll(pts_a, -1)
-    if pts_b is None:
-        b0, b1 = a0, a1
-    else:
-        b0, b1 = pts_b, np.roll(pts_b, -1)
-    u = (a1 - a0)[:, None]
-    v = (b1 - b0)[None, :]
-    d1 = np.imag(np.conj(u) * (b0[None, :] - a0[:, None]))
-    d2 = np.imag(np.conj(u) * (b1[None, :] - a0[:, None]))
-    d3 = np.imag(np.conj(v) * (a0[:, None] - b0[None, :]))
-    d4 = np.imag(np.conj(v) * (a1[:, None] - b0[None, :]))
+    sizes = np.array([c.nodes for c in curves])
+    owner = np.repeat(np.arange(len(curves)), sizes)
+    a0 = np.concatenate([c.points for c in curves])
+    a1 = np.concatenate([np.roll(c.points, -1) for c in curves])
+    mid = 0.5 * (a0 + a1)
+    tree = cKDTree(np.column_stack([mid.real, mid.imag]), balanced_tree=False, compact_nodes=False)
+    i, j = tree.query_pairs(max(c.spacing for c in curves) + tol, output_type="ndarray").T
+    same = owner[i] == owner[j]
+    gap = np.abs(i - j)
+    keep = ~same | (np.minimum(gap, sizes[owner[i]] - gap) > 1)  # neighbours always meet
+    i, j, same = i[keep], j[keep], same[keep]
+    if np.any(same & (np.abs(a0[i] - a0[j]) < tol)):
+        raise DomainError("curve self-intersects at sample resolution")
+    u, v = a1[i] - a0[i], a1[j] - a0[j]
+    d1 = np.imag(np.conj(u) * (a0[j] - a0[i]))
+    d2 = np.imag(np.conj(u) * (a1[j] - a0[i]))
+    d3 = np.imag(np.conj(v) * (a0[i] - a0[j]))
+    d4 = np.imag(np.conj(v) * (a1[i] - a0[j]))
     crossing = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
-    if pts_b is None:
-        n = pts_a.size
-        idx = np.arange(n)
-        gap = np.abs(idx[:, None] - idx[None, :])
-        crossing &= np.minimum(gap, n - gap) > 1
-    return bool(np.any(crossing))
+    if np.any(crossing & same):
+        raise DomainError("curve self-intersects (transversal crossing)")
+    if np.any(crossing):
+        q, p = min(zip(owner[i][crossing], owner[j][crossing]))
+        raise DomainError(f"boundary curves {q} and {p} cross")
 
 
 def _winding(curve: BoundaryCurve, pts: np.ndarray) -> np.ndarray:
@@ -247,15 +244,13 @@ class Domain:
         outer: BoundaryCurve,
         holes: Sequence[BoundaryCurve] = (),
         anchors: Sequence[complex] = (),
-        validate: bool = True,
     ):
         self.outer = outer
         self.holes = list(holes)
         self.anchors = [complex(a) for a in anchors]
         if len(self.anchors) != len(self.holes):
             raise DomainError("need exactly one anchor per hole")
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- structure ----------------------------------------------------------
 
@@ -278,11 +273,15 @@ class Domain:
     def _validate(self) -> None:
         if self.outer.signed_area() <= 0.0:
             raise DomainError("outer curve must be counterclockwise")
-        firsts = np.array([hole.points[0] for hole in self.holes])
         for q, hole in enumerate(self.holes):
             if hole.signed_area() >= 0.0:
                 raise DomainError(f"hole curve {q} must be clockwise")
-            if np.any(_winding(self.outer, hole.points[::8]) != 1):
+        _check_simple(self.curves, 1e-6 * self.diameter)
+        # no curve crosses another, so one node places a whole hole
+        firsts = np.array([hole.points[0] for hole in self.holes])
+        around = _winding(self.outer, firsts)
+        for q, hole in enumerate(self.holes):
+            if around[q] != 1:
                 raise DomainError(f"hole curve {q} is not inside the outer curve")
             if _winding(hole, np.array([self.anchors[q]]))[0] != -1:
                 raise DomainError(f"anchor {q} is not inside its hole")
@@ -290,26 +289,6 @@ class Domain:
             others = others[others != q]
             if others.size:
                 raise DomainError(f"holes {q} and {others[0]} overlap")
-        for curve in self.curves:
-            d = cdist(
-                np.column_stack([curve.points.real, curve.points.imag]),
-                np.column_stack([curve.points.real, curve.points.imag]),
-            )
-            n = curve.nodes
-            idx = np.arange(n)
-            adjacent = np.minimum(np.abs(idx[:, None] - idx[None, :]), n - np.abs(idx[:, None] - idx[None, :])) <= 1
-            d[adjacent] = np.inf
-            if np.min(d) < 1e-6 * self.diameter:
-                raise DomainError("curve self-intersects at sample resolution")
-            if _segments_cross(_validation_polyline(curve)):
-                raise DomainError("curve self-intersects (transversal crossing)")
-        for q, first in enumerate(self.curves):
-            for p_idx in range(q + 1, len(self.curves)):
-                second = self.curves[p_idx]
-                if _segments_cross(
-                    _validation_polyline(first), _validation_polyline(second)
-                ):
-                    raise DomainError(f"boundary curves {q} and {p_idx} cross")
 
     # -- containment and distance -------------------------------------------
 
@@ -434,7 +413,6 @@ def scaled_domain(domain: Domain, center: complex, scale: float) -> Domain:
         outer=move(domain.outer),
         holes=[move(h) for h in domain.holes],
         anchors=list((np.array(domain.anchors, dtype=complex) - center) / scale),
-        validate=False,
     )
 
 

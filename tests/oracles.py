@@ -8,7 +8,9 @@ can hold the package's result against it:
 * ``dirichlet_inner``: one Dirichlet inner product by boundary quadrature at
   two node counts, for the reproducing identity of a model's kernel;
 * ``inverted_domain`` and ``MobiusMap``: the inversion that turns a hole
-  inside out, for the Moebius invariance of the span metric.
+  inside out, for the Moebius invariance of the span metric;
+* ``segments_cross``: every segment of a closed polyline against every other,
+  for the k-d tree that picks the candidate pairs of domain validation.
 """
 
 from __future__ import annotations
@@ -137,3 +139,31 @@ def inverted_domain(domain: Domain, hole_index: int) -> tuple[Domain, MobiusMap]
         new_holes.append(move(other))
         new_anchors.append(complex(mapping.apply(domain.anchors[q])))
     return Domain(new_outer, new_holes, new_anchors), mapping
+
+
+def segments_cross(pts_a: np.ndarray, pts_b: np.ndarray | None = None) -> bool:
+    """Strict transversal crossing between closed-polyline segments, all pairs.
+
+    With one argument, tests the polyline against itself (adjacent segment
+    pairs excluded); with two, tests every segment of one against every
+    segment of the other.  Grazing contact is not a crossing.
+    """
+    a0 = pts_a
+    a1 = np.roll(pts_a, -1)
+    if pts_b is None:
+        b0, b1 = a0, a1
+    else:
+        b0, b1 = pts_b, np.roll(pts_b, -1)
+    u = (a1 - a0)[:, None]
+    v = (b1 - b0)[None, :]
+    d1 = np.imag(np.conj(u) * (b0[None, :] - a0[:, None]))
+    d2 = np.imag(np.conj(u) * (b1[None, :] - a0[:, None]))
+    d3 = np.imag(np.conj(v) * (a0[:, None] - b0[None, :]))
+    d4 = np.imag(np.conj(v) * (a1[:, None] - b0[None, :]))
+    crossing = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
+    if pts_b is None:
+        n = pts_a.size
+        idx = np.arange(n)
+        gap = np.abs(idx[:, None] - idx[None, :])
+        crossing &= np.minimum(gap, n - gap) > 1
+    return bool(np.any(crossing))

@@ -66,6 +66,18 @@ def test_validate_run_config(run_file, capsys):
     assert "metric-distance" in out
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_unknown_experiment_is_rejected(run_file, command, capsys):
+    path = Path(run_file)
+    config = json.loads(path.read_text())
+    config["experiment"] = "metric-distanse"
+    path.write_text(json.dumps(config))
+    assert main([command, run_file]) == 2
+    out, err = capsys.readouterr()
+    assert "unknown experiment 'metric-distanse'" in err
+    assert "[PASS]" not in out
+
+
 def test_run_writes_outputs(run_file, tmp_path, capsys):
     out_dir = tmp_path / "results"
     assert main(["run", run_file, "--out", str(out_dir)]) == 0

@@ -6,6 +6,7 @@ Gram routes against each other, then kernel models against closed forms and
 against their own defining identities.
 """
 
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -273,6 +274,35 @@ def test_kernel_matrix_multiplies_flushed_operands(monkeypatch, rng):
         parts = w.view(float)
         assert not np.any((parts != 0.0) & (np.abs(parts) < _FLUSH))
     assert np.array_equal(got.view(np.uint64), (raw.T @ raw.conj()).view(np.uint64))
+
+
+@pytest.mark.parametrize("route", ["diagonal", "dense"])
+def test_metric_matrix_reuses_its_arrays(route, annulus_model, ellipse_model, rng):
+    # The jets and their conjugate go into an array kept between calls; each
+    # call must still give the product of freshly built ones, bit for bit.
+    model = annulus_model if route == "diagonal" else ellipse_model
+    assert model.meta["route"] == route
+    radius = rng.uniform(0.55, 0.95, 4) if route == "diagonal" else rng.uniform(0.0, 0.5, 4)
+    for z in radius * np.exp(2j * np.pi * rng.random(4)):
+        got = model.metric_matrix(complex(z), 3)
+        jet = np.concatenate([b.jet([z], 3)[:, :, 0] for b in model.blocks], axis=1)
+        u = model.factorization.whiten(jet.T).T
+        assert np.array_equal(got, np.pi * (u @ u.conj().T))
+
+
+def test_metric_matrix_allocates_only_the_whitening(annulus_model):
+    # Called one point at a time, fresh arrays of this size cost page faults
+    # whenever the C allocator returns them to the system between calls.  The
+    # diagonal whitening still allocates its product and the cast operand.
+    one = 4 * annulus_model.size * 16  # one (order + 1, size) complex array at order 3
+    annulus_model.metric_matrix(0.7 + 0.1j, 3)
+    tracemalloc.start()
+    try:
+        annulus_model.metric_matrix(-0.2 + 0.75j, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * one
 
 
 _finite_parts = st.one_of(

@@ -5,12 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import segments_cross
 from scipy.spatial.distance import cdist
 
 import spanlab as sl
-from spanlab.domains import BAND_FACTOR, curve_samples_in_ball
+from spanlab.domains import BAND_FACTOR, _check_simple, curve_samples_in_ball
 from spanlab.shapes import read_json
 
 # -- curves -------------------------------------------------------------------
@@ -54,42 +55,108 @@ def test_nearest_parameter_on_circle():
 # -- domain validation ----------------------------------------------------------
 
 
+_UNIT = sl.BoundaryCurve({0: 0.0, 1: 1.0})
+
+
 def test_domain_rejects_clockwise_outer():
-    with pytest.raises(sl.DomainError):
+    with pytest.raises(sl.DomainError, match="outer curve must be counterclockwise"):
         sl.Domain(sl.BoundaryCurve({0: 0.0, -1: 1.0}))
 
 
 def test_domain_rejects_ccw_hole():
-    with pytest.raises(sl.DomainError):
-        sl.Domain(
-            sl.BoundaryCurve({0: 0.0, 1: 1.0}),
-            holes=[sl.BoundaryCurve({0: 0.0, 1: 0.3})],
-            anchors=[0.0],
-        )
+    with pytest.raises(sl.DomainError, match="hole curve 0 must be clockwise"):
+        sl.Domain(_UNIT, holes=[sl.BoundaryCurve({0: 0.0, 1: 0.3})], anchors=[0.0])
 
 
 def test_domain_rejects_anchor_outside_hole():
-    with pytest.raises(sl.DomainError):
-        sl.Domain(
-            sl.BoundaryCurve({0: 0.0, 1: 1.0}),
-            holes=[sl.BoundaryCurve({0: 0.5, -1: 0.2})],
-            anchors=[-0.5],
-        )
+    with pytest.raises(sl.DomainError, match="anchor 0 is not inside its hole"):
+        sl.Domain(_UNIT, holes=[sl.BoundaryCurve({0: 0.5, -1: 0.2})], anchors=[-0.5])
 
 
 def test_domain_rejects_hole_outside_outer():
-    with pytest.raises(sl.DomainError):
-        sl.Domain(
-            sl.BoundaryCurve({0: 0.0, 1: 1.0}),
-            holes=[sl.BoundaryCurve({0: 5.0, -1: 0.2})],
-            anchors=[5.0],
-        )
+    with pytest.raises(sl.DomainError, match="hole curve 0 is not inside the outer curve"):
+        sl.Domain(_UNIT, holes=[sl.BoundaryCurve({0: 5.0, -1: 0.2})], anchors=[5.0])
 
 
 def test_domain_rejects_self_intersecting_outer():
     # A limacon with an inner loop.
-    with pytest.raises(sl.DomainError):
+    with pytest.raises(sl.DomainError, match="transversal crossing"):
         sl.Domain(sl.BoundaryCurve({1: 0.5, 2: 1.0}))
+
+
+def test_domain_rejects_near_cusp():
+    # A limacon a hair short of its cusp: non-adjacent nodes there nearly coincide.
+    with pytest.raises(sl.DomainError, match="at sample resolution"):
+        sl.Domain(sl.BoundaryCurve({1: 1.0, 2: 0.4999999}))
+
+
+def test_domain_rejects_hole_through_outer():
+    with pytest.raises(sl.DomainError, match="boundary curves 0 and 1 cross"):
+        sl.Domain(_UNIT, holes=[sl.BoundaryCurve({0: 0.9, -1: 0.2})], anchors=[0.9])
+
+
+def test_domain_rejects_crossing_holes():
+    holes = [sl.BoundaryCurve({0: 0.2, -1: 0.3}), sl.BoundaryCurve({0: -0.2, -1: 0.3})]
+    with pytest.raises(sl.DomainError, match="boundary curves 1 and 2 cross"):
+        sl.Domain(_UNIT, holes=holes, anchors=[0.3, -0.3])
+
+
+def test_domain_rejects_nested_holes():
+    holes = [sl.BoundaryCurve({0: 0.0, -1: 0.5}), sl.BoundaryCurve({0: 0.0, -1: 0.2})]
+    with pytest.raises(sl.DomainError, match="holes 0 and 1 overlap"):
+        sl.Domain(_UNIT, holes=holes, anchors=[0.0, 0.0])
+
+
+_MODE = st.complex_numbers(max_magnitude=0.3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _fourier_curves(draw):
+    """One or two curves ``e^{it} + small modes``, 16 to 64 nodes each."""
+    curves = []
+    for _ in range(draw(st.integers(1, 2))):
+        coeffs = {k: draw(_MODE) for k in (-2, -1, 2, 3)}
+        coeffs[1] = draw(st.floats(0.3, 1.5))
+        coeffs[0] = draw(st.complex_numbers(max_magnitude=2.5, allow_nan=False, allow_infinity=False))
+        try:
+            curves.append(sl.BoundaryCurve(coeffs, nodes=draw(st.integers(16, 64))))
+        except sl.DomainError:
+            assume(False)  # a stationary point
+    return curves
+
+
+@settings(max_examples=300)
+@given(curves=_fourier_curves(), tol=st.floats(0.0, 0.01))
+def test_check_simple_matches_all_pairs_oracle(curves, tol):
+    near = False
+    for c in curves:
+        xy = np.column_stack([c.points.real, c.points.imag])
+        gap = np.abs(np.subtract.outer(np.arange(c.nodes), np.arange(c.nodes)))
+        near |= bool(np.any(cdist(xy, xy)[np.minimum(gap, c.nodes - gap) > 1] < tol))
+    self_cross = any(segments_cross(c.points) for c in curves)
+    pair_cross = len(curves) == 2 and segments_cross(curves[0].points, curves[1].points)
+    if near:
+        message = "at sample resolution"
+    elif self_cross:
+        message = "transversal crossing"
+    elif pair_cross:
+        message = "boundary curves 0 and 1 cross"
+    else:
+        _check_simple(curves, tol)
+        return
+    with pytest.raises(sl.DomainError, match=message):
+        _check_simple(curves, tol)
+
+
+def test_validation_memory_is_linear_in_nodes():
+    # All-pairs node distances at 4096 nodes per curve would need over 500 MB.
+    tracemalloc.start()
+    try:
+        sl.annulus(0.5, nodes=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_containment_on_annulus(annulus_domain):
