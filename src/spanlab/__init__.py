@@ -8,7 +8,6 @@ blows a boundary point up to a half-plane.
 """
 
 from .curvature import (
-    CurvatureReport,
     burbea_bound,
     curvature_from_matrix,
     curvature_profile,
@@ -48,7 +47,6 @@ from .lab import (
     EXPERIMENTS,
     ExperimentConfig,
     ExperimentResult,
-    default_schedule,
     run_experiment,
 )
 from .reference import (
@@ -67,7 +65,6 @@ __all__ = [
     "BoundaryCurve",
     "ConfigError",
     "CurvatureError",
-    "CurvatureReport",
     "DiskAutomorphism",
     "DiskMetric",
     "Domain",
@@ -88,7 +85,6 @@ __all__ = [
     "curvature_from_matrix",
     "curvature_profile",
     "default_probes",
-    "default_schedule",
     "disk",
     "domain_from_dict",
     "ellipse",

@@ -17,7 +17,7 @@ from .dirichlet import build_model, default_probes
 from .errors import ConfigError, DomainError
 from .lab import ExperimentConfig, run_experiment
 from .reference import DiskMetric, HalfPlaneMetric, LensMetric, halfdisk_density
-from .shapes import domain_from_dict, json_number, json_numbers, read_json
+from .shapes import domain_from_dict, json_numbers, read_json
 
 
 # Numeric keys of a run config, each with its conversion to the
@@ -26,9 +26,6 @@ _NUMERIC_KEYS = {
     "base_point": lambda bp: complex(*json_numbers(bp)),
     "steps": json_numbers,
     "orders": lambda orders: json_numbers(orders, int),
-    "metric_tol": json_number,
-    "curvature_tol": json_number,
-    "clip_radius": json_number,
 }
 _RUN_KEYS = {"experiment", "domain", *_NUMERIC_KEYS}
 
@@ -166,7 +163,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    """Validate a domain file or a full run config without running experiments."""
+    """Validate a domain file or a full run config, and build one model at tolerance 1e-6."""
     raw = read_json(args.domain)
     if isinstance(raw, dict) and "experiment" in raw:
         names, domain, config = _run_config(raw, args.domain)
@@ -178,7 +175,7 @@ def _cmd_validate(args) -> int:
     print(f"holes: {len(domain.holes)}")
     print(f"diameter bound: {domain.diameter:.6g}")
     probes = default_probes(domain)
-    model = build_model(domain, probes=probes, watch_order=0, tol=args.tol)
+    model = build_model(domain, probes=probes, watch_order=0, tol=1e-6)
     meta = model.meta
     print(
         f"model: route={meta['route']} degree={meta['degree']} "
@@ -221,7 +218,6 @@ def main(argv=None) -> int:
         "validate", help="validate a domain or run-config file and build a small model"
     )
     p_val.add_argument("domain", help="path to the domain or run-config file (JSON)")
-    p_val.add_argument("--tol", type=float, default=1e-6)
     p_val.set_defaults(func=_cmd_validate)
 
     args = parser.parse_args(argv)

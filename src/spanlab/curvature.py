@@ -16,7 +16,6 @@ diagonal equilibration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import factorial, lgamma, log
 
 import numpy as np
@@ -38,28 +37,14 @@ def burbea_bound(order: int) -> float:
     return -float(product) ** 2
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
-    point: complex
-    order: int
-    value: float
-    metric: float
-    bound: float
-    log_determinant: float
-    phase_residual: float
-    matrix: np.ndarray = field(repr=False, default=None)
-
-
-def curvature_from_matrix(
-    matrix: np.ndarray, order: int | None = None, point: complex = 0j
-) -> CurvatureReport:
+def curvature_from_matrix(matrix: np.ndarray, order: int | None = None) -> float:
     """Order-n curvature from the (n+1) x (n+1) metric derivative matrix.
 
     ``matrix[j, k]`` must hold ``s_{j kbar}``; the top-left entry is the
     metric itself.  The determinant of a Hermitian positive semidefinite
-    matrix is real and nonnegative; ``phase_residual`` records how far the
-    computed determinant's phase drifted from that, and a drift beyond 1e-8
-    raises, since it means the input was not a metric derivative matrix.
+    matrix is real and nonnegative; a drift of the computed determinant's
+    phase beyond 1e-8 raises, since it means the input was not a metric
+    derivative matrix.
     """
     s_matrix = np.asarray(matrix, dtype=complex)
     if order is None:
@@ -81,16 +66,7 @@ def curvature_from_matrix(
         raise CurvatureError(
             f"determinant phase residual {phase_residual:.2e}; matrix is not Hermitian PSD"
         )
-    return CurvatureReport(
-        point=complex(point),
-        order=order,
-        value=value,
-        metric=metric,
-        bound=burbea_bound(order),
-        log_determinant=float(log_abs_det),
-        phase_residual=phase_residual,
-        matrix=sub,
-    )
+    return value
 
 
 def higher_order_curvature(source, z: complex, order: int = 1) -> float:
@@ -100,13 +76,13 @@ def higher_order_curvature(source, z: complex, order: int = 1) -> float:
     Hermitian matrix ``[s_{j kbar}(z)]``; kernel models and the closed-form
     reference metrics all provide one.
     """
-    return curvature_from_matrix(source.metric_matrix(z, order), order, point=z).value
+    return curvature_from_matrix(source.metric_matrix(z, order), order)
 
 
 def curvature_profile(source, z: complex, orders=(1, 2, 3)) -> dict[int, float]:
     """All requested curvature orders from a single derivative matrix."""
     s_matrix = source.metric_matrix(z, max(orders))
-    return {n: curvature_from_matrix(s_matrix, n, point=z).value for n in orders}
+    return {n: curvature_from_matrix(s_matrix, n) for n in orders}
 
 
 def gaussian_curvature_fd_oracle(source, z: complex, h: float = 5e-4) -> float:

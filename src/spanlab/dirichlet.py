@@ -303,10 +303,8 @@ def _rows(blocks: Sequence[BasisBlock], indices, z, order: int) -> np.ndarray:
     return coeff[:, None] * result
 
 
-def spot_check_offdiagonal(
-    domain: Domain, blocks: Sequence[BasisBlock], diag: np.ndarray, pairs: int = 12
-) -> float:
-    """Verify that randomly chosen off-diagonal Gram entries vanish.
+def spot_check_offdiagonal(domain: Domain, blocks: Sequence[BasisBlock], diag: np.ndarray) -> float:
+    """Verify that 12 randomly chosen off-diagonal Gram entries vanish.
 
     Guards the diagonal fast path at run time: an entry above 1e-9 of its
     diagonal raises ``QuadratureError``.  Pairs whose frequency
@@ -320,7 +318,7 @@ def spot_check_offdiagonal(
     node_counts = [c.nodes for c in domain.curves]
     chosen = []
     attempts = 0
-    while len(chosen) < pairs and attempts < 50 * pairs:
+    while len(chosen) < 12 and attempts < 600:
         attempts += 1
         j, k = rng.integers(0, n, size=2)
         if j == k:
@@ -557,7 +555,6 @@ def build_model(
     probes: np.ndarray | None = None,
     watch_order: int = 0,
     tol: float = 1e-8,
-    degree: int | None = None,
 ) -> KernelModel:
     """Build a kernel model, escalating the basis degree until it stops moving.
 
@@ -576,10 +573,8 @@ def build_model(
     if probes is None:
         probes = default_probes(domain)
     probes = np.asarray(probes, dtype=complex)
-    if degree is None:
-        degree = _initial_degree(domain, probes, watch_order, tol)
     max_degree = (1 << 17) if fast else 512
-    degree = min(degree, max_degree // 2)
+    degree = min(_initial_degree(domain, probes, watch_order, tol), max_degree // 2)
 
     history: list[tuple[int, float]] = []
     previous = None

@@ -184,7 +184,8 @@ def _check_simple(curves: Sequence[BoundaryCurve], tol: float) -> None:
     """Raise ``DomainError`` unless the node polylines of ``curves`` are simple and disjoint.
 
     Non-adjacent nodes of one curve closer than ``tol`` are a self-intersection
-    at sample resolution.  Two segments cross when each strictly separates the
+    at sample resolution, and nodes of two curves closer than ``tol`` make the
+    curves touch.  Two segments cross when each strictly separates the
     ends of the other.  Segments that meet, or start less than ``tol`` apart,
     have midpoints at most the longest segment plus ``tol`` apart, so a k-d
     tree over the midpoints yields every pair that needs either test.
@@ -213,6 +214,10 @@ def _check_simple(curves: Sequence[BoundaryCurve], tol: float) -> None:
     if np.any(crossing):
         q, p = min(zip(owner[i][crossing], owner[j][crossing]))
         raise DomainError(f"boundary curves {q} and {p} cross")
+    touching = ~same & (np.abs(a0[i] - a0[j]) < tol)
+    if np.any(touching):
+        q, p = min(zip(owner[i][touching], owner[j][touching]))
+        raise DomainError(f"boundary curves {q} and {p} touch at sample resolution")
 
 
 def _winding(curve: BoundaryCurve, pts: np.ndarray) -> np.ndarray:

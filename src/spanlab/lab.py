@@ -58,21 +58,28 @@ _SCALING_GRID = (
     np.linspace(-1.0, 0.5, 5)[:, None] + 1j * np.linspace(-0.75, 0.75, 5)
 ).ravel()
 
+# Build tolerances of ``build_model``: the metric experiments watch s itself,
+# the curvature experiment the derivative matrix behind its determinants.
+METRIC_TOL = 1e-8
+CURVATURE_TOL = 1e-10
 
-def default_schedule(start: float = 0.1, count: int = 10) -> tuple[float, ...]:
-    return tuple(start * 0.5**j for j in range(count))
+# Radius of the ball in which the scaling experiment compares the rescaled
+# boundary with the half-plane boundary line.
+CLIP_RADIUS = 5.0
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared knobs for all boundary-limit experiments."""
+    """Where and how deep to run a boundary-limit experiment.
+
+    ``steps`` are the inner-normal depths at ``base_point`` (dyadic from 0.1 by
+    default) and ``orders`` the curvature orders that ``curvature-limit``
+    watches.  Build tolerances and the clip radius are the module constants.
+    """
 
     base_point: complex
-    steps: tuple[float, ...] = default_schedule()
-    metric_tol: float = 1e-8
-    curvature_tol: float = 1e-10
+    steps: tuple[float, ...] = tuple(0.1 * 0.5**j for j in range(10))
     orders: tuple[int, ...] = (1, 2)
-    clip_radius: float = 5.0
 
     def __post_init__(self):
         if len(self.steps) < 2:
@@ -83,9 +90,6 @@ class ExperimentConfig:
             raise ConfigError("depth steps must strictly decrease")
         if not self.orders or any(n < 1 for n in self.orders):
             raise ConfigError("curvature orders must be a nonempty list of integers >= 1")
-        limits = (self.metric_tol, self.curvature_tol, self.clip_radius)
-        if not all(0.0 < v < np.inf for v in limits):
-            raise ConfigError("metric_tol, curvature_tol and clip_radius must be positive and finite")
 
 
 @dataclass
@@ -152,12 +156,12 @@ def decay_order(steps, gaps) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def cauchy_decay(values, factor: float = 3.0) -> bool:
-    """Last increment no more than ``factor`` times the one before it."""
+def cauchy_decay(values) -> bool:
+    """Last increment no more than 3 times the one before it."""
     v = np.asarray(values, dtype=float)
     if v.size < 3:
         return False
-    return abs(v[-1] - v[-2]) <= factor * abs(v[-2] - v[-3]) + 1e-300
+    return abs(v[-1] - v[-2]) <= 3.0 * abs(v[-2] - v[-3]) + 1e-300
 
 
 def _walk(domain: Domain, config: ExperimentConfig, measure):
@@ -191,7 +195,7 @@ def metric_distance_experiment(domain: Domain, config: ExperimentConfig) -> Expe
     """s(z_t) * dist(z_t)^2 -> 1/4 along the inner normal."""
 
     def measure(z):
-        model = build_model(domain, probes=[z], watch_order=0, tol=config.metric_tol)
+        model = build_model(domain, probes=[z], watch_order=0, tol=METRIC_TOL)
         s, dist = model.metric(z), -signed_distance(domain, z)
         product = s * (dist * dist)
         return model, {"metric": s, "dist": dist, "product": product, "gap": product - 0.25}
@@ -220,9 +224,7 @@ def curvature_limit_experiment(domain: Domain, config: ExperimentConfig) -> Expe
     orders = config.orders
 
     def measure(z):
-        model = build_model(
-            domain, probes=[z], watch_order=max(orders), tol=config.curvature_tol
-        )
+        model = build_model(domain, probes=[z], watch_order=max(orders), tol=CURVATURE_TOL)
         profile = curvature_profile(model, z, orders=orders)
         row = {}
         for n in orders:
@@ -282,7 +284,7 @@ def localization_experiment(domain: Domain, config: ExperimentConfig) -> Experim
     outer_disk = DiskMetric(center, radius)
 
     def measure(z):
-        model = build_model(domain, probes=[z], watch_order=0, tol=config.metric_tol)
+        model = build_model(domain, probes=[z], watch_order=0, tol=METRIC_TOL)
         s_lens = float(lens.metric(z))
         ratio = s_lens / model.metric(z)
         return model, {
@@ -329,7 +331,7 @@ def scaling_kernel_experiment(domain: Domain, config: ExperimentConfig) -> Exper
     half = HalfPlaneMetric(omega)
     grid = _SCALING_GRID * omega
     ref_kernel = half.kernel(grid[:, None], grid[None, :])
-    line = half.boundary_samples(config.clip_radius, count=4096)
+    line = half.boundary_samples(CLIP_RADIUS, count=4096)
 
     def measure(z):
         blown = scaled_domain(domain, z, -signed_distance(domain, z))
@@ -342,14 +344,14 @@ def scaling_kernel_experiment(domain: Domain, config: ExperimentConfig) -> Exper
                 RuntimeWarning,
             )
         kept = grid[inside]
-        model = build_model(blown, probes=kept, watch_order=0, tol=config.metric_tol)
+        model = build_model(blown, probes=kept, watch_order=0, tol=METRIC_TOL)
         kernel_gap = model.kernel_matrix(kept, kept) - ref_kernel[np.ix_(inside, inside)]
         boundary = np.concatenate(
-            [curve_samples_in_ball(c, config.clip_radius) for c in blown.curves]
+            [curve_samples_in_ball(c, CLIP_RADIUS) for c in blown.curves]
         )
         return model, {
             "sup_kernel_gap": float(np.max(np.abs(kernel_gap))),
-            "hausdorff": hausdorff_distance_local(boundary, line, config.clip_radius),
+            "hausdorff": hausdorff_distance_local(boundary, line, CLIP_RADIUS),
             "dropped": dropped,
         }
 
@@ -407,11 +409,9 @@ def write_loglog_svg(
     x: np.ndarray,
     series: dict[str, np.ndarray],
     title: str = "",
-    width: int = 640,
-    height: int = 440,
 ) -> None:
     """Minimal log-log scatter/line plot, written as a standalone SVG file."""
-    margin = 64
+    width, height, margin = 640, 440, 64
     x = np.asarray(x, dtype=float)
     series = {label: np.asarray(y, dtype=float) for label, y in series.items()}
     xs_all = np.log10(x)

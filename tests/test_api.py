@@ -1,4 +1,5 @@
-"""The public API: the pinned exported names, and every benchmark-traced function.
+"""The public API: the pinned exported names and settable values, and every
+benchmark-traced function.
 
 ``perfbench/spans.py`` patches the functions it traces by dotted name; it is
 read here as text, so deleting one of them fails this fast test rather than
@@ -48,7 +49,6 @@ def test_public_api_is_pinned():
         "BoundaryCurve",
         "ConfigError",
         "CurvatureError",
-        "CurvatureReport",
         "DiskAutomorphism",
         "DiskMetric",
         "Domain",
@@ -69,7 +69,6 @@ def test_public_api_is_pinned():
         "curvature_from_matrix",
         "curvature_profile",
         "default_probes",
-        "default_schedule",
         "disk",
         "domain_from_dict",
         "ellipse",
@@ -88,6 +87,25 @@ def test_public_api_is_pinned():
         "spot_check_offdiagonal",
         "zero_period_residual",
     ]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        getattr(getattr(d, "func", d), "id", None) == "dataclass" for d in node.decorator_list
+    )
+
+
+def test_settable_values_are_pinned():
+    # Defaulted parameters plus defaulted dataclass fields: each one is a
+    # setting that callers may vary and that tests must then cover.
+    count = 0
+    for path in sorted(Path(sl.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+    assert count == 50
 
 
 def test_test_only_oracles_are_not_public():

@@ -384,7 +384,7 @@ def test_rows_equal_one_function_blocks(order):
 def test_spot_check_passes_on_annulus(annulus_domain):
     blocks = sl.build_blocks(annulus_domain, 16)
     diag = sl.gram_diagonal(annulus_domain, blocks)
-    worst = sl.spot_check_offdiagonal(annulus_domain, blocks, diag, pairs=20)
+    worst = sl.spot_check_offdiagonal(annulus_domain, blocks, diag)
     assert worst < 1e-10
 
 
@@ -393,7 +393,7 @@ def test_spot_check_rejects_nonsymmetric_domain():
     blocks = sl.build_blocks(dom, 12)
     fake_diag = np.ones(block_sizes(blocks))
     with pytest.raises(sl.QuadratureError):
-        sl.spot_check_offdiagonal(dom, blocks, fake_diag, pairs=20)
+        sl.spot_check_offdiagonal(dom, blocks, fake_diag)
 
 
 @pytest.mark.parametrize("gram", [gram_area_circular, sl.gram_diagonal])
@@ -582,8 +582,8 @@ def test_a_build_that_reaches_the_degree_cap_compares_two_models(t, converged):
 
 
 def test_build_model_rejects_bad_tolerances(disk_domain):
-    for tol in (0.0, -1e-8, float("nan"), float("inf")):
-        with pytest.raises(sl.ConfigError):
+    for tol in (float("nan"), -1e-6, -1e-8, 0.0, float("inf")):
+        with pytest.raises(sl.ConfigError, match="tol must be positive and finite"):
             sl.build_model(disk_domain, tol=tol)
 
 

@@ -101,6 +101,13 @@ def test_domain_rejects_crossing_holes():
         sl.Domain(_UNIT, holes=holes, anchors=[0.3, -0.3])
 
 
+def test_domain_rejects_touching_curves():
+    # A hole 1e-7 short of the outer circle: nodes of the two curves nearly coincide.
+    hole = sl.BoundaryCurve({0: 0.5, -1: 0.4999999})
+    with pytest.raises(sl.DomainError, match="boundary curves 0 and 1 touch at sample resolution"):
+        sl.Domain(_UNIT, holes=[hole], anchors=[0.5])
+
+
 def test_domain_rejects_nested_holes():
     holes = [sl.BoundaryCurve({0: 0.0, -1: 0.5}), sl.BoundaryCurve({0: 0.0, -1: 0.2})]
     with pytest.raises(sl.DomainError, match="holes 0 and 1 overlap"):
@@ -128,19 +135,22 @@ def _fourier_curves(draw):
 @settings(max_examples=300)
 @given(curves=_fourier_curves(), tol=st.floats(0.0, 0.01))
 def test_check_simple_matches_all_pairs_oracle(curves, tol):
+    xy = [np.column_stack([c.points.real, c.points.imag]) for c in curves]
     near = False
-    for c in curves:
-        xy = np.column_stack([c.points.real, c.points.imag])
+    for c, nodes in zip(curves, xy):
         gap = np.abs(np.subtract.outer(np.arange(c.nodes), np.arange(c.nodes)))
-        near |= bool(np.any(cdist(xy, xy)[np.minimum(gap, c.nodes - gap) > 1] < tol))
+        near |= bool(np.any(cdist(nodes, nodes)[np.minimum(gap, c.nodes - gap) > 1] < tol))
     self_cross = any(segments_cross(c.points) for c in curves)
     pair_cross = len(curves) == 2 and segments_cross(curves[0].points, curves[1].points)
+    touch = len(curves) == 2 and bool(np.any(cdist(*xy) < tol))
     if near:
-        message = "at sample resolution"
+        message = "curve self-intersects at sample resolution"
     elif self_cross:
         message = "transversal crossing"
     elif pair_cross:
         message = "boundary curves 0 and 1 cross"
+    elif touch:
+        message = "boundary curves 0 and 1 touch at sample resolution"
     else:
         _check_simple(curves, tol)
         return
