@@ -133,6 +133,17 @@ def test_run_rejects_invalid_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1e-6", "0", "inf"])
+def test_validate_rejects_bad_tolerance(domain_file, tol, capsys):
+    # validate builds at a fixed 1e-6; a tolerance on the command line is
+    # a usage error, and the guard of build_model itself is tested in
+    # test_dirichlet.py::test_build_model_rejects_bad_tolerances
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", domain_file, f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --tol={tol}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
 def test_checked_in_configs_validate(path, capsys):
     assert main(["validate", str(path)]) == 0
