@@ -457,12 +457,14 @@ class KernelModel:
 
         The whitened operands are flushed as in ``gram_dense``: a batch across
         the band keeps every ladder row, and the product would otherwise run
-        on their subnormal parts.
+        on their subnormal parts.  Equal ``z`` and ``zeta`` share one operand.
         """
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
         self._require_interior(np.concatenate([z, zeta]))
         wz = _flush_tiny(self.factorization.whiten(evaluate_blocks(self.blocks, z)))
+        if np.array_equal(z, zeta):
+            return wz.T @ wz.conj()
         ww = _flush_tiny(self.factorization.whiten(evaluate_blocks(self.blocks, zeta)))
         return wz.T @ ww.conj()
 

@@ -33,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import directed_hausdorff
 
 from .errors import DomainError, EmptyClipError
 
@@ -426,9 +427,10 @@ def hausdorff_distance_local(
 ) -> float:
     """Hausdorff distance between two point sets clipped to ``|z| <= radius``.
 
-    Nearest neighbours come from a k-d tree in each direction.  Raises
-    ``EmptyClipError`` when either clipped set is empty, since the clipped
-    Hausdorff distance is undefined there.
+    Each directed distance is exact: ``directed_hausdorff`` ends a point's scan
+    once it meets a point nearer than the largest distance so far (Taha and
+    Hanbury, IEEE TPAMI 37, 2015).  Raises ``EmptyClipError`` when either
+    clipped set is empty, since the clipped Hausdorff distance is undefined.
     """
     a = np.asarray(a_points, dtype=complex).ravel()
     b = np.asarray(b_points, dtype=complex).ravel()
@@ -437,15 +439,17 @@ def hausdorff_distance_local(
     if a.size == 0 or b.size == 0:
         raise EmptyClipError("clipped point set is empty")
     pa, pb = np.column_stack([a.real, a.imag]), np.column_stack([b.real, b.imag])
-    return float(max(cKDTree(pb).query(pa)[0].max(), cKDTree(pa).query(pb)[0].max()))
+    return float(max(directed_hausdorff(pa, pb)[0], directed_hausdorff(pb, pa)[0]))
 
 
 def curve_samples_in_ball(curve: BoundaryCurve, radius: float) -> np.ndarray:
     """Dense samples of a curve restricted to ``|z| <= radius``.
 
-    Uses a coarse pass to estimate the in-window parameter fraction and then a
-    uniform fine grid aiming at 4000 in-window samples, capped at 2^20
-    evaluations.  Returns the (possibly empty) array of in-window curve points.
+    A coarse pass estimates the in-window parameter fraction, and a uniform
+    fine grid aims at 4000 in-window samples, capped at 2^20 parameters.  As
+    ``L = sum |k c_k|`` bounds ``|gamma'|``, only fine parameters in a coarse
+    cell ``[t_c, t_{c+1})`` with ``|gamma(t_c)| <= radius + 2 pi L / coarse_n``
+    are evaluated.  Returns the (possibly empty) array of in-window points.
     """
     coarse_n = 4096
     t = np.arange(coarse_n) * (2.0 * np.pi / coarse_n)
@@ -454,8 +458,12 @@ def curve_samples_in_ball(curve: BoundaryCurve, radius: float) -> np.ndarray:
     if frac == 0.0:
         return pts[np.abs(pts) <= radius]
     fine_n = min(1 << 20, max(coarse_n, int(4000 / max(frac, 1e-6))))
-    t = np.arange(fine_n) * (2.0 * np.pi / fine_n)
-    pts = curve.point(t)
+    speed = float(np.sum(np.abs(curve.wavenumbers * curve.coefficients)))
+    cells = np.flatnonzero(np.abs(pts) <= radius + speed * (2.0 * np.pi / coarse_n))
+    lo, hi = -(-np.stack([cells, cells + 1]) * fine_n // coarse_n)  # each cell holds [lo, hi)
+    count = hi - lo
+    index = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
+    pts = curve.point(index * (2.0 * np.pi / fine_n))
     return pts[np.abs(pts) <= radius]
 
 

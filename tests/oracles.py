@@ -10,7 +10,9 @@ can hold the package's result against it:
 * ``inverted_domain`` and ``MobiusMap``: the inversion that turns a hole
   inside out, for the Moebius invariance of the span metric;
 * ``segments_cross``: every segment of a closed polyline against every other,
-  for the k-d tree that picks the candidate pairs of domain validation.
+  for the k-d tree that picks the candidate pairs of domain validation;
+* ``curve_samples_in_ball_full``: the whole fine parameter grid, filtered
+  afterwards, for the speed-bounded cells of ``curve_samples_in_ball``.
 """
 
 from __future__ import annotations
@@ -167,3 +169,20 @@ def segments_cross(pts_a: np.ndarray, pts_b: np.ndarray | None = None) -> bool:
         gap = np.abs(idx[:, None] - idx[None, :])
         crossing &= np.minimum(gap, n - gap) > 1
     return bool(np.any(crossing))
+
+
+def curve_samples_in_ball_full(curve: BoundaryCurve, radius: float) -> np.ndarray:
+    """``curve_samples_in_ball`` by evaluating every fine parameter, then filtering.
+
+    Same coarse pass, fraction and fine grid size; no cell is skipped.
+    """
+    coarse_n = 4096
+    t = np.arange(coarse_n) * (2.0 * np.pi / coarse_n)
+    pts = curve.point(t)
+    frac = float(np.count_nonzero(np.abs(pts) <= 1.1 * radius)) / coarse_n
+    if frac == 0.0:
+        return pts[np.abs(pts) <= radius]
+    fine_n = min(1 << 20, max(coarse_n, int(4000 / max(frac, 1e-6))))
+    t = np.arange(fine_n) * (2.0 * np.pi / fine_n)
+    pts = curve.point(t)
+    return pts[np.abs(pts) <= radius]

@@ -259,6 +259,8 @@ def test_kernel_matrix_multiplies_flushed_operands(monkeypatch, rng):
     pts = rng.uniform(0.55, 0.95, 200) * np.exp(2j * np.pi * rng.random(200))
     raw = model.factorization.whiten(evaluate_blocks(blocks, pts))
     assert np.any((raw.view(float) != 0.0) & (np.abs(raw.view(float)) < _FLUSH))
+    other = pts[::-1][:70].copy()
+    raw_other = model.factorization.whiten(evaluate_blocks(blocks, other))
 
     operands = []
     whiten = model.factorization.whiten
@@ -269,11 +271,14 @@ def test_kernel_matrix_multiplies_flushed_operands(monkeypatch, rng):
 
     monkeypatch.setattr(model.factorization, "whiten", recording_whiten)
     got = model.kernel_matrix(pts, pts)
-    assert len(operands) == 2
+    assert len(operands) == 1  # equal arguments share one whitened operand
+    assert np.array_equal(got.view(np.uint64), (raw.T @ raw.conj()).view(np.uint64))
+    got = model.kernel_matrix(pts, other)
+    assert len(operands) == 3  # different arguments are whitened apart
     for w in operands:
         parts = w.view(float)
         assert not np.any((parts != 0.0) & (np.abs(parts) < _FLUSH))
-    assert np.array_equal(got.view(np.uint64), (raw.T @ raw.conj()).view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), (raw.T @ raw_other.conj()).view(np.uint64))
 
 
 @pytest.mark.parametrize("route", ["diagonal", "dense"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import segments_cross
+from oracles import curve_samples_in_ball_full, segments_cross
 from scipy.spatial.distance import cdist
 
 import spanlab as sl
@@ -115,25 +115,41 @@ def test_domain_rejects_nested_holes():
 
 
 _MODE = st.complex_numbers(max_magnitude=0.3, allow_nan=False, allow_infinity=False)
+_TOL = st.shared(st.floats(0.0, 0.01), key="tol")  # one value per example
 
 
 @st.composite
 def _fourier_curves(draw):
-    """One or two curves ``e^{it} + small modes``, 16 to 64 nodes each."""
-    curves = []
+    """One or two curves ``e^{it} + small modes``, 16 to 64 nodes each.
+
+    A second curve keeps its random centre, or is moved outside the first
+    along a drawn direction until its extreme node is a drawn gap from the
+    first's: a multiple of the test's tolerance, below or above it, never at it.
+    """
+    curves, nodes = [], []
     for _ in range(draw(st.integers(1, 2))):
         coeffs = {k: draw(_MODE) for k in (-2, -1, 2, 3)}
         coeffs[1] = draw(st.floats(0.3, 1.5))
         coeffs[0] = draw(st.complex_numbers(max_magnitude=2.5, allow_nan=False, allow_infinity=False))
-        try:
-            curves.append(sl.BoundaryCurve(coeffs, nodes=draw(st.integers(16, 64))))
-        except sl.DomainError:
-            assume(False)  # a stationary point
-    return curves
+        curves.append(coeffs)
+        nodes.append(draw(st.integers(16, 64)))
+    share = draw(st.none() | st.floats(0.0, 0.75) | st.floats(1.25, 2.0))
+    try:
+        built = [sl.BoundaryCurve(c, nodes=n) for c, n in zip(curves, nodes)]
+        if len(built) == 2 and share is not None:
+            u = np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+            first, second = (c.points * np.conj(u) for c in built)
+            gap = share * draw(_TOL)
+            shift = u * (first[np.argmax(first.real)] - second[np.argmin(second.real)] + gap)
+            curves[1][0] += shift
+            built[1] = sl.BoundaryCurve(curves[1], nodes=nodes[1])
+    except sl.DomainError:
+        assume(False)  # a stationary point
+    return built
 
 
 @settings(max_examples=300)
-@given(curves=_fourier_curves(), tol=st.floats(0.0, 0.01))
+@given(curves=_fourier_curves(), tol=_TOL)
 def test_check_simple_matches_all_pairs_oracle(curves, tol):
     xy = [np.column_stack([c.points.real, c.points.imag]) for c in curves]
     near = False
@@ -454,11 +470,19 @@ def test_hausdorff_distance_local():
 
 
 def test_hausdorff_distance_local_matches_brute_force(rng):
+    cases = []
     for size_a, size_b, radius in ((200, 300, 1.0), (1500, 40, 0.7), (1, 500, 2.0)):
         a = rng.normal(size=size_a) + 1j * rng.normal(size=size_a)
         b = 0.5 * (rng.normal(size=size_b) + 1j * rng.normal(size=size_b))
         a[0] = 0.1  # keep both clipped sets nonempty
         b[0] = -0.1j
+        cases.append((a, b, radius))
+    # A dense collinear set against an arc far from it, as the half-plane's
+    # edge is from the hole of annulus(0.5) blown up at t = 0.1.
+    turn = np.exp(0.7j)
+    arc = turn * (-9.0 + 5.0 * np.exp(1j * np.linspace(-0.6, 0.6, 1500)))
+    cases.append((arc, turn * (1.0 + 1j * np.linspace(-5.0, 5.0, 2048)), 5.0))
+    for a, b, radius in cases:
         ca, cb = a[np.abs(a) <= radius], b[np.abs(b) <= radius]
         dist = cdist(np.column_stack([ca.real, ca.imag]), np.column_stack([cb.real, cb.imag]))
         brute = max(dist.min(axis=1).max(), dist.min(axis=0).max())
@@ -473,6 +497,38 @@ def test_curve_samples_in_ball(annulus_domain):
     assert np.max(np.abs(samples)) <= 5.0 + 1e-9
     # all samples lie on the blown-up outer circle |1 + 0.05 w| = 1
     assert np.max(np.abs(np.abs(1.0 + 0.05 * samples) - 1.0)) < 1e-12
+
+
+_BLOWN_UP = {
+    "annulus": sl.annulus(0.5),
+    "limacon": sl.Domain(sl.BoundaryCurve({1: 1.0, 2: 0.3})),
+    "ellipse": sl.ellipse(semi_axes=(1.0, 0.6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOWN_UP))
+def test_curve_samples_in_ball_matches_full_grid(name, rng):
+    # Skipping the coarse cells that cannot reach the window must keep every
+    # in-window sample.  A sample may differ in the last bit, since ``point``
+    # rounds by batch; after the blow-up the modes cancel, so the unit is an
+    # ulp of sum |c_k|, the size of the terms summed.
+    domain = _BLOWN_UP[name]
+    for angle in rng.uniform(0.1, np.pi / 2 - 0.1, 2) + np.pi / 2 * rng.integers(0, 4, 2):
+        for p in [domain.outer.point(angle)] + [h.point(angle) for h in domain.holes]:
+            normal = sl.outward_normal(domain, p)
+            for t in (0.1, 0.01, 1e-3, 1e-4):
+                z = p - t * normal
+                blown = sl.scaled_domain(domain, z, -sl.signed_distance(domain, z))
+                sizes = []
+                for curve in blown.curves:
+                    got = curve_samples_in_ball(curve, 5.0)
+                    want = curve_samples_in_ball_full(curve, 5.0)
+                    assert got.size == want.size
+                    ulp = np.spacing(np.sum(np.abs(curve.coefficients)))
+                    assert np.all(np.abs(got - want) <= 2.0 * ulp)
+                    sizes.append(want.size)
+                if t == 1e-4:
+                    assert 0 < max(sizes) < 4000  # the 2^20 cap binds
 
 
 def test_rotation_center(annulus_domain):
