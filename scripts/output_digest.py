@@ -5,7 +5,9 @@ One ``sha256  name`` line per output:
 
 * for each experiment config in ``configs/`` (domain files are skipped), the
   stdout of ``spanlab run`` with the output directory replaced by ``<out>``,
-  and each CSV and SVG file that it writes;
+  each SVG file that it writes, and each column of each CSV file, named
+  ``config/file.csv:column``, so a change that moves one column shows on
+  that column's line alone;
 * the raw bytes of ``metric`` and ``metric_matrix(z, 3)`` at 1000 seeded
   points of a degree-2048 ``annulus(0.5)`` model, one call per point, and of
   its ``kernel_matrix`` between those points and the first 64 of them.
@@ -37,6 +39,15 @@ def _line(data: bytes, name: str) -> str:
     return f"{hashlib.sha256(data).hexdigest()}  {name}"
 
 
+def csv_digests(text: str, name: str) -> list[str]:
+    header, *rows = text.splitlines()
+    columns = zip(*(row.split(",") for row in rows))
+    return [
+        _line("\n".join(values).encode(), f"{name}:{column}")
+        for column, values in zip(header.split(","), columns)
+    ]
+
+
 def config_digests(scratch: Path) -> tuple[list[str], bool]:
     lines, ok = [], True
     for config in sorted((ROOT / "configs").glob("*.json")):
@@ -49,7 +60,11 @@ def config_digests(scratch: Path) -> tuple[list[str], bool]:
         text = stdout.getvalue().replace(str(out), "<out>")
         lines.append(_line(text.encode(), f"{config.stem}.stdout"))
         for path in sorted(out.iterdir()):
-            lines.append(_line(path.read_bytes(), f"{config.stem}/{path.name}"))
+            name = f"{config.stem}/{path.name}"
+            if path.suffix == ".csv":
+                lines += csv_digests(path.read_text(encoding="utf-8"), name)
+            else:
+                lines.append(_line(path.read_bytes(), name))
     return lines, ok
 
 

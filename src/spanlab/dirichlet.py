@@ -24,7 +24,11 @@ are rotation invariant about the common center, so the Gram matrix of the
 centered basis is exactly diagonal with closed-form entries (a few off-diagonal
 pairs are still integrated on every build, as a run-time check of the symmetry);
 that fast path makes basis sizes of ``10^5`` routine, which is what
-boundary-limit experiments need.
+boundary-limit experiments need.  There the degree-d model is the degree-2d
+model cut to the first d functions of each block, so ``build_model`` builds
+one model per step and reads the change between the two degrees, exactly,
+from the finer model's rows d..2d-1: ``eps_model`` is that tail, and
+``history`` lists the built degrees.
 
 Point evaluation goes through jets: ``BasisBlock.jet`` returns every derivative
 order up to ``n`` from one power ladder per block, and the model whitens the
@@ -32,8 +36,11 @@ whole (size, n + 1) stack in one call, so the metric derivative matrix
 ``[s_{j kbar}]`` costs one ladder per block rather than one per block and
 order.  A ladder stops where the powers at every point are below ``sqrt(tiny)``
 and leaves exact zeros, so one point's evaluation does no subnormal arithmetic
-and gives the same outputs.  The model checks first that the points are
-interior with ``Domain.inside``, a closed form when all curves are circles.
+and gives the same outputs.  On the diagonal route ``metric_matrix`` and
+``kernel_matrix`` leave the trailing run of those zero rows out of the
+whitening and the product, which keeps every sum bit for bit.  The model
+checks first that the points are interior with ``Domain.inside``, a closed
+form when all curves are circles.
 """
 
 from __future__ import annotations
@@ -52,27 +59,26 @@ from .linalg import hermitize, pivoted_cholesky, unwhiten_solve, whiten_cholesky
 _FLUSH = np.sqrt(np.finfo(float).tiny)
 
 
-def _binary_power(square: np.ndarray, e: Sequence[int]) -> np.ndarray:
-    """Row i of ``square`` raised to the integer power ``e[i]`` by repeated squaring.
+def _binary_powers(base: np.ndarray, exponents: Sequence[int]) -> np.ndarray:
+    """Array of shape (len(exponents), len(base)) holding base**e for each exponent.
 
-    Batched over the rows: ``e`` must be decreasing, so that the rows still
-    to be squared are a prefix.  ``square`` is overwritten.  The loop runs on
-    Python integers, which keeps a one-row call (every power ladder makes
-    one) as cheap as a scalar loop.  Every product is a plain ``a * b`` on a
-    row or a prefix, because numpy can round a one-element
-    ``multiply(a, b, out=...)`` differently in the last bit.
+    Repeated squaring, with each square of ``base`` formed once for all the
+    exponents.  The loop runs on Python integers, which keeps a one-exponent
+    call (every power ladder starts with one) as cheap as a scalar loop.
+    Every product is a plain ``a * b`` on a row, because numpy can round a
+    one-element ``multiply(a, b, out=...)`` differently in the last bit.
     """
-    raised = np.ones_like(square)
-    e = [int(x) for x in e]
+    raised = np.ones((len(exponents), base.size), dtype=complex)
+    e = [int(x) for x in exponents]
+    square = base
     while True:
         for i, x in enumerate(e):
             if x & 1:
-                raised[i] = raised[i] * square[i]
+                raised[i] = raised[i] * square
         e = [x >> 1 for x in e]
-        deep = sum(x > 0 for x in e)
-        if deep == 0:
+        if not any(e):
             return raised
-        square[:deep] = square[:deep] * square[:deep]
+        square = square * square
 
 
 def _ladder_rows(r: float, start: int, count: int) -> int:
@@ -98,7 +104,7 @@ def _power_ladder(
     keep = _ladder_rows(float(np.max(np.abs(base), initial=0.0)), start, count)
     head = out[:keep]
     head[:] = base[None, :]
-    head[0] = _binary_power(base[None, :].copy(), [start])[0]
+    head[0] = _binary_powers(base, [start])[0]
     np.cumprod(head, axis=0, out=head)
     out[keep:] = 0.0
     return out
@@ -123,10 +129,6 @@ class BasisBlock:
         if self.kind == "monomial":
             return (z - self.center) / self.scale
         return self.scale / (z - self.center)
-
-    def frequencies(self) -> np.ndarray:
-        """Angular frequency of each function on circles about the center."""
-        return self.powers if self.kind == "monomial" else -self.powers
 
     def jet(self, z, order: int, out: np.ndarray | None = None) -> np.ndarray:
         """(order + 1, count, len(z)) array of the derivatives of orders 0..order.
@@ -279,9 +281,9 @@ def _rows(blocks: Sequence[BasisBlock], indices, z, order: int) -> np.ndarray:
     """Values (order 0) or primitives (order -1) of the basis functions at ``indices``.
 
     Returns a (len(indices), len(z)) array without materializing whole blocks.
-    Each row is its block's base raised by ``_binary_power``, the routine that
-    also starts every power ladder, so a row is bit for bit the value
-    ``BasisBlock.evaluate`` gives on a one-function block.
+    Each block's base is raised by ``_binary_powers``, the routine that also
+    starts every power ladder, once for all of its rows, so a row is bit for
+    bit the value ``BasisBlock.evaluate`` gives on a one-function block.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     indices = np.asarray(indices, dtype=int)
@@ -290,10 +292,10 @@ def _rows(blocks: Sequence[BasisBlock], indices, z, order: int) -> np.ndarray:
     powers = np.array([b.start for b in blocks])[owner] + indices - offsets[owner]
     monomial = np.array([b.kind == "monomial" for b in blocks])[owner]
     e = np.where(monomial, powers + 1, powers - 1) if order == -1 else powers
-    rank = np.argsort(-e, kind="stable")
-    square = np.stack([b.base(z) for b in blocks])[owner[rank]]
     result = np.empty((indices.size, z.size), dtype=complex)
-    result[rank] = _binary_power(square, e[rank])
+    for q in np.unique(owner):
+        mine = np.flatnonzero(owner == q)
+        result[mine] = _binary_powers(blocks[q].base(z), e[mine])
     if order == 0:
         return result
     scales = np.array([b.scale for b in blocks])[owner]
@@ -301,6 +303,16 @@ def _rows(blocks: Sequence[BasisBlock], indices, z, order: int) -> np.ndarray:
     coeff[monomial] = scales[monomial] / (powers[monomial] + 1.0)
     coeff[~monomial] = -scales[~monomial] / (powers[~monomial] - 1.0)
     return coeff[:, None] * result
+
+
+def _frequency(blocks: Sequence[BasisBlock], index: int) -> int:
+    """Angular frequency of basis function ``index`` on circles about the center."""
+    for block in blocks:
+        if index < block.count:
+            power = block.start + index
+            return power if block.kind == "monomial" else -power
+        index -= block.count
+    raise IndexError(index)
 
 
 def spot_check_offdiagonal(domain: Domain, blocks: Sequence[BasisBlock], diag: np.ndarray) -> float:
@@ -313,8 +325,7 @@ def spot_check_offdiagonal(domain: Domain, blocks: Sequence[BasisBlock], diag: n
     spurious value even though the true entry is zero.
     """
     rng = np.random.default_rng(0)
-    freqs = np.concatenate([b.frequencies() for b in blocks])
-    n = freqs.size
+    n = block_sizes(blocks)
     node_counts = [c.nodes for c in domain.curves]
     chosen = []
     attempts = 0
@@ -323,7 +334,7 @@ def spot_check_offdiagonal(domain: Domain, blocks: Sequence[BasisBlock], diag: n
         j, k = rng.integers(0, n, size=2)
         if j == k:
             continue
-        df = int(freqs[j] - freqs[k])
+        df = _frequency(blocks, int(j)) - _frequency(blocks, int(k))
         if any(df % m == 0 for m in node_counts):
             continue
         chosen.append((j, k))
@@ -359,11 +370,10 @@ def zero_period_residual(domain: Domain, blocks: Sequence[BasisBlock]) -> float:
         indices = np.arange(total)
     else:
         indices = np.random.default_rng(0).choice(total, size=64, replace=False)
-    freqs = np.concatenate([b.frequencies() for b in blocks])
+    f = np.array([_frequency(blocks, int(i)) for i in indices])
     worst = 0.0
     for curve in domain.curves:
         length = float(np.sum(curve.weights))
-        f = freqs[indices]
         kept = indices[(f == 0) | (f % curve.nodes != 0)]
         g = _rows(blocks, kept, curve.points, 0)
         periods = np.sum(g * curve.complex_weights, axis=1)
@@ -391,7 +401,9 @@ class GramFactorization:
             # numpy divides a complex by a real-valued complex by multiplying
             # with the reciprocal, so whitening by this product gives the
             # quotient v / sqrt(diag) bit for bit, up to the sign of a zero part.
-            self.inv_sqrt = 1.0 / np.sqrt(self.diag)
+            # Kept complex, as numpy would cast it, so that a product with a
+            # strided operand (a jet cut to its live rows) needs no cast buffer.
+            self.inv_sqrt = (1.0 / np.sqrt(self.diag)).astype(complex)
 
     @classmethod
     def from_dense(cls, gram: np.ndarray) -> "GramFactorization":
@@ -414,16 +426,36 @@ class GramFactorization:
         return float(self.pivots[0] / self.pivots[-1])
 
     def whiten(self, vectors: np.ndarray) -> np.ndarray:
-        """Apply the inverse half-factor; kernel sums become plain dot products."""
+        """Apply the inverse half-factor; kernel sums become plain dot products.
+
+        A diagonal factorization also takes the leading rows alone: the rows
+        left out are zeros, and so are their whitened values.
+        """
         if self.kind == "diagonal":
             v = np.asarray(vectors, dtype=complex)
-            return v * (self.inv_sqrt[:, None] if v.ndim == 2 else self.inv_sqrt)
+            inv_sqrt = self.inv_sqrt[: v.shape[0]]
+            return v * (inv_sqrt[:, None] if v.ndim == 2 else inv_sqrt)
         return whiten_cholesky(self.L, self.perm, vectors)
 
     def solve(self, vector: np.ndarray) -> np.ndarray:
         if self.kind == "diagonal":
             return np.asarray(vector, dtype=complex) / self.diag
         return unwhiten_solve(self.L, self.perm, self.size, vector)
+
+
+def _live_rows(rows: np.ndarray, counts: Sequence[int]) -> int:
+    """Number of rows left once the trailing run of zero rows is dropped.
+
+    ``rows`` holds blocks of ``counts`` rows; the scan starts at the last
+    block and stops in the first block, from the end, with a nonzero row.
+    """
+    stop = rows.shape[0]
+    for count in reversed(counts):
+        nonzero = np.flatnonzero(np.any(rows[stop - count : stop], axis=1))
+        if nonzero.size:
+            return stop - count + int(nonzero[-1]) + 1
+        stop -= count
+    return 0
 
 
 class KernelModel:
@@ -437,6 +469,7 @@ class KernelModel:
         self.factorization = factorization
         self.meta: dict = {}
         self._scratch: dict[int, np.ndarray] = {}  # see metric_matrix
+        self._watched: dict[tuple[complex, int], np.ndarray] = {}  # see build_model
 
     def _require_interior(self, pts: np.ndarray) -> None:
         mask = self.domain.inside(pts)
@@ -452,21 +485,37 @@ class KernelModel:
     def eps_model(self) -> float:
         return float(self.meta.get("eps_model", np.nan))
 
+    def _live(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` without the trailing zero rows, on a diagonal factorization.
+
+        Those rows are the last block's ladder below ``sqrt(tiny)``; dropping
+        them, and only them, leaves every sum of the products bit for bit.
+        """
+        if self.factorization.kind != "diagonal":
+            return rows
+        return rows[: _live_rows(rows, [b.count for b in self.blocks])]
+
+    def _whitened_values(self, pts: np.ndarray) -> np.ndarray:
+        values = self._live(evaluate_blocks(self.blocks, pts))
+        return _flush_tiny(self.factorization.whiten(values))
+
     def kernel_matrix(self, z, zeta) -> np.ndarray:
         """Matrix of kernel values, entry [i, j] = K(z_i, zeta_j).
 
         The whitened operands are flushed as in ``gram_dense``: a batch across
         the band keeps every ladder row, and the product would otherwise run
         on their subnormal parts.  Equal ``z`` and ``zeta`` share one operand.
+        On the diagonal route the trailing zero rows are left out.
         """
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
         self._require_interior(np.concatenate([z, zeta]))
-        wz = _flush_tiny(self.factorization.whiten(evaluate_blocks(self.blocks, z)))
+        wz = self._whitened_values(z)
         if np.array_equal(z, zeta):
             return wz.T @ wz.conj()
-        ww = _flush_tiny(self.factorization.whiten(evaluate_blocks(self.blocks, zeta)))
-        return wz.T @ ww.conj()
+        ww = self._whitened_values(zeta)
+        rows = min(wz.shape[0], ww.shape[0])
+        return wz[:rows].T @ ww[:rows].conj()
 
     def metric(self, z):
         """Span metric s(z) = pi K(z, z); returns a float for scalar input."""
@@ -477,16 +526,14 @@ class KernelModel:
         values = np.pi * np.sum(np.abs(w) ** 2, axis=0)
         return float(values[0]) if scalar else values
 
-    def metric_matrix(self, z: complex, order: int) -> np.ndarray:
-        """Hermitian matrix of metric derivatives, entry [j, k] = s_{j kbar}(z).
+    def _whitened_jet(self, z: complex, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """Whitened derivative vectors ``U`` (order + 1 rows) at z, and their conjugate.
 
-        Built as ``pi U U^*`` from the whitened derivative vectors ``U`` of
-        orders 0..order, so it is positive semidefinite by construction: one
-        jet per basis block and one whitening call for all orders.
-
-        The jets, and then their conjugate, go into one array kept per order
-        and reused (so two threads must not share a model here): fresh arrays,
-        about 1 MB at degree 2048, can cost a page fault per 4 KB on each call.
+        The jets, and then the conjugate, go into one array kept per order and
+        reused (so two threads must not share a model here): fresh arrays,
+        about 1 MB at degree 2048, can cost a page fault per 4 KB on each
+        call.  ``U`` ends after the last basis function that is nonzero at z
+        in some order (``_live``).
         """
         self._require_interior(np.array([z], dtype=complex))
         if order not in self._scratch:
@@ -494,8 +541,23 @@ class KernelModel:
         jet = self._scratch[order]
         for b, stop in zip(self.blocks, np.cumsum([b.count for b in self.blocks])):
             b.jet([z], order, out=jet[:, stop - b.count : stop])
-        u = self.factorization.whiten(jet[:, :, 0].T).T
-        return np.pi * (u @ np.conjugate(u, out=jet[:, : u.shape[1], 0]).T)
+        u = self.factorization.whiten(self._live(jet[:, :, 0].T)).T
+        return u, np.conjugate(u, out=jet[:, : u.shape[1], 0])
+
+    def metric_matrix(self, z: complex, order: int) -> np.ndarray:
+        """Hermitian matrix of metric derivatives, entry [j, k] = s_{j kbar}(z).
+
+        Built as ``pi U U^*`` from the whitened derivative vectors ``U`` of
+        orders 0..order, so it is positive semidefinite by construction: one
+        jet per basis block and one whitening call for all orders.  At a
+        probe that ``build_model`` watched at this order it returns a copy of
+        the watched matrix.
+        """
+        watched = self._watched.get((complex(z), order))
+        if watched is not None:
+            return watched.copy()
+        u, u_conj = self._whitened_jet(z, order)
+        return np.pi * (u @ u_conj.T)
 
     def kernel_coefficients(self, zeta: complex) -> np.ndarray:
         """Coefficients beta with K(., zeta) = sum_j beta_j g_j."""
@@ -552,6 +614,24 @@ def _initial_degree(domain: Domain, probes: np.ndarray, watch_order: int, tol: f
     return 1 << int(np.ceil(np.log2(degree)))
 
 
+def _tail_change(model: KernelModel, z: complex, order: int, half: int) -> tuple[np.ndarray, float]:
+    """Watched matrix at z, and its largest relative change since degree ``half``.
+
+    On the diagonal route the degree-``half`` model is this model cut to the
+    first ``half`` functions of each block (same centers, scales and norms),
+    so the change is the part of ``pi U U^*`` from each block's rows
+    ``half..2 half - 1``, relative to the diagonal of the watched matrix.
+    """
+    u, u_conj = model._whitened_jet(z, order)
+    s = np.pi * (u @ u_conj.T)
+    moved = np.zeros_like(s)
+    for stop in np.cumsum([b.count for b in model.blocks]):
+        rows = slice(stop - half, min(stop, u.shape[1]))
+        moved += u[:, rows] @ u_conj[:, rows].T
+    d = np.sqrt(np.abs(np.diag(s)))
+    return s, float(np.max(np.pi * np.abs(moved) / np.outer(d, d)))
+
+
 def build_model(
     domain: Domain,
     probes: np.ndarray | None = None,
@@ -562,11 +642,20 @@ def build_model(
 
     Watches every entry of the order-``watch_order`` metric derivative matrix
     at the probe points; the degree doubles until the relative change between
-    consecutive models falls below ``tol``, and the finer model is kept.  The
-    last observed change is recorded as ``eps_model``: downstream experiments
-    treat it as the model's resolution floor.  The degree stops at 2^17 on the
-    diagonal route and at 512 on the dense one, and starts at most at half that,
-    so there are always two models to compare and ``eps_model`` is finite.
+    the models of consecutive degrees falls below ``tol``, and the finer model
+    is kept.  The last change is recorded as ``eps_model``: downstream
+    experiments treat it as the model's resolution floor.  The kept model
+    keeps the matrices it watched, and ``metric_matrix`` at a probe returns a
+    copy of them.
+
+    On the diagonal route each step builds only the finer model: the coarser
+    one is its first half per block, so the change is the exact tail of the
+    watched matrices from those rows, and ``history`` lists each built degree
+    with its change against half that degree.  The dense route builds every
+    degree and compares consecutive models, so its ``history`` starts with
+    the first degree and no change.  The degree stops at 2^17 on the
+    diagonal route and at 512 on the dense one, and the first comparison is
+    against half the cap at most, so ``eps_model`` is finite.
     """
     if not 0.0 < tol < np.inf:
         raise ConfigError(f"tol must be positive and finite, got {tol!r}")
@@ -577,6 +666,8 @@ def build_model(
     probes = np.asarray(probes, dtype=complex)
     max_degree = (1 << 17) if fast else 512
     degree = min(_initial_degree(domain, probes, watch_order, tol), max_degree // 2)
+    if fast:
+        degree *= 2
 
     history: list[tuple[int, float]] = []
     previous = None
@@ -601,17 +692,23 @@ def build_model(
                 )
             fact = GramFactorization.from_dense(gram)
         model = KernelModel(domain, blocks, fact)
-        watched = [model.metric_matrix(complex(p), watch_order) for p in probes]
-        change = np.inf
-        if previous is not None:
-            change = 0.0
-            for s_new, s_old in zip(watched, previous):
-                d = np.sqrt(np.abs(np.diag(s_new)))
-                scale = np.outer(d, d)
-                change = max(change, float(np.max(np.abs(s_new - s_old) / scale)))
+        if fast:
+            tails = [_tail_change(model, complex(p), watch_order, degree // 2) for p in probes]
+            watched = [s for s, _ in tails]
+            change = max((c for _, c in tails), default=0.0)
+        else:
+            watched = [model.metric_matrix(complex(p), watch_order) for p in probes]
+            change = np.inf
+            if previous is not None:
+                change = 0.0
+                for s_new, s_old in zip(watched, previous):
+                    d = np.sqrt(np.abs(np.diag(s_new)))
+                    scale = np.outer(d, d)
+                    change = max(change, float(np.max(np.abs(s_new - s_old) / scale)))
         history.append((degree, change))
         converged = change < tol
         if converged or degree >= max_degree:
+            model._watched = {(complex(p), watch_order): s for p, s in zip(probes, watched)}
             model.meta.update(
                 {
                     "route": "diagonal" if fast else "dense",

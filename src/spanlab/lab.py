@@ -168,24 +168,33 @@ def _walk(domain: Domain, config: ExperimentConfig, measure):
     """Call ``measure(z) -> (model, row)`` at each depth and stack the results.
 
     Returns the columns (``t``, then the row keys in order), the ``degree`` and
-    ``eps_model`` columns that close every table, and the diagnostics meta.
+    ``eps_model`` columns that close every table, and the diagnostics meta,
+    whose per-step ``converged`` flags feed every experiment's ``_converged``
+    gate.
     """
     points = inner_normal_sequence(domain, complex(config.base_point), config.steps)
     stacked: dict[str, list] = {"t": list(config.steps)}
-    diagnostics = []
+    diagnostics, converged = [], []
     for z in points:
         model, row = measure(complex(z))
         for key, value in row.items():
             stacked.setdefault(key, []).append(value)
         diagnostics.append((model.meta["degree"], model.eps_model, model.meta["condition"]))
+        converged.append(model.meta["converged"])
     columns = {key: np.array(values, dtype=float) for key, values in stacked.items()}
     degree, eps_model, condition = np.array(diagnostics, dtype=float).T
     meta = {
         "degrees": degree.astype(int).tolist(),
         "eps_model": eps_model.tolist(),
         "condition": condition.tolist(),
+        "converged": converged,
     }
     return columns, {"degree": degree, "eps_model": eps_model}, meta
+
+
+def _converged(meta: dict) -> dict[str, bool]:
+    """The gate that every reported step rests on a converged model."""
+    return {"model converged at every step": bool(all(meta["converged"]))}
 
 
 # -- experiment 1: metric times squared distance ------------------------------
@@ -207,6 +216,7 @@ def metric_distance_experiment(domain: Domain, config: ExperimentConfig) -> Expe
         f"|s*dist^2 - 1/4| <= 1e-2 at t={t[-1]:g}": bool(abs(gap[-1]) <= 1e-2),
         "decay order >= 0.9": bool(order >= 0.9),
         "product increments Cauchy (factor 3)": cauchy_decay(product),
+        **_converged(meta),
     }
     return ExperimentResult(
         name="metric_distance",
@@ -245,6 +255,7 @@ def curvature_limit_experiment(domain: Domain, config: ExperimentConfig) -> Expe
             np.all(np.diff(gap[-4:]) < 0)
         )
         gates[f"kappa{n} increments Cauchy (factor 3)"] = cauchy_decay(columns[f"kappa{n}"])
+    gates.update(_converged(meta))
     return ExperimentResult(
         name="curvature_limit",
         columns={**columns, **diagnostics},
@@ -306,6 +317,7 @@ def localization_experiment(domain: Domain, config: ExperimentConfig) -> Experim
             np.all(columns["gap"][small] <= 2.0 * (1.0 - sandwich[small]))
         ),
         "ratio increments Cauchy (factor 3)": cauchy_decay(ratio),
+        **_converged(meta),
     }
     return ExperimentResult(
         name="localization",
@@ -369,6 +381,7 @@ def scaling_kernel_experiment(domain: Domain, config: ExperimentConfig) -> Exper
             np.all(np.diff(columns["dropped"]) <= 0)
         ),
         "sup kernel gap increments Cauchy (factor 3)": cauchy_decay(sup_gap),
+        **_converged(meta),
     }
     return ExperimentResult(
         name="scaling_kernel",

@@ -8,6 +8,7 @@ against their own defining identities.
 
 import tracemalloc
 from decimal import Decimal, localcontext
+from math import prod
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ import spanlab as sl
 from spanlab import dirichlet
 from spanlab.dirichlet import (
     _FLUSH,
-    _binary_power,
+    _binary_powers,
     _flush_tiny,
     _ladder_rows,
     _power_ladder,
@@ -209,7 +210,7 @@ def test_power_ladder_stops_only_below_the_flush(moduli, angle, start, count):
     base = np.array(moduli) * np.exp(1j * (angle + np.arange(len(moduli))))
     reference = np.empty((count, base.size), dtype=complex)
     reference[:] = base
-    reference[0] = _binary_power(base[None, :].copy(), [start])[0]
+    reference[0] = _binary_powers(base, [start])[0]
     np.cumprod(reference, axis=0, out=reference)
     ladder = _power_ladder(base, start, count)
     zero = ~np.any(ladder, axis=1)
@@ -298,7 +299,8 @@ def test_metric_matrix_reuses_its_arrays(route, annulus_model, ellipse_model, rn
 def test_metric_matrix_allocates_only_the_whitening(annulus_model):
     # Called one point at a time, fresh arrays of this size cost page faults
     # whenever the C allocator returns them to the system between calls.  The
-    # diagonal whitening still allocates its product and the cast operand.
+    # diagonal whitening still allocates its product, and numpy's iterator may
+    # add a buffer for a strided operand.
     one = 4 * annulus_model.size * 16  # one (order + 1, size) complex array at order 3
     annulus_model.metric_matrix(0.7 + 0.1j, 3)
     tracemalloc.start()
@@ -558,6 +560,132 @@ def test_build_model_converges_and_records(annulus_model):
     degrees = [d for d, _ in meta["history"]]
     assert all(b == 2 * a for a, b in zip(degrees, degrees[1:]))
     assert annulus_model.factorization.condition() >= 1.0
+
+
+def _tail_oracle(domain, model, probes, order):
+    """Largest |T_jk| / sqrt(S_jj S_kk) over real probes, summed in ``decimal``.
+
+    S is the watched matrix of the kept degree-2d model and T its part from
+    each block's functions d..2d-1, both from the closed-form series: the
+    derivatives of ``(z/R)^m`` and ``(sigma/z)^m`` over their closed-form
+    squared norms on ``r_in < |z| < r_out``, for the same float radii, scales
+    and probes.
+    """
+    degree = model.meta["degree"]
+    mono, pole = model.blocks
+    assert mono.center == pole.center == 0
+    orders = range(order + 1)
+    worst = Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        r_out = Decimal(domain.outer.circle_data()[1])
+        r_in = Decimal(domain.holes[0].circle_data()[1])
+        big_r, sigma = Decimal(mono.scale), Decimal(pole.scale)
+        for probe in probes:
+            x = Decimal(probe)
+            full = [[Decimal(0)] * len(orders) for _ in orders]
+            tail = [[Decimal(0)] * len(orders) for _ in orders]
+            for i in range(degree):
+                m, e = i, 2 * i + 2  # monomial (z/R)^m
+                norm = _PI * big_r**2 / (m + 1) * ((r_out / big_r) ** e - (r_in / big_r) ** e)
+                falling = [prod((Decimal(m - q) for q in range(j)), start=Decimal(1)) for j in orders]
+                ders = [falling[j] * x ** (m - j) / big_r**m if j <= m else Decimal(0) for j in orders]
+                m, e = i + 2, 2 * i + 2  # pole (sigma/z)^m
+                norm_pole = _PI * sigma**2 / (m - 1) * ((sigma / r_in) ** e - (sigma / r_out) ** e)
+                rising = [prod((Decimal(m + q) for q in range(j)), start=Decimal(1)) for j in orders]
+                ders_pole = [(-1) ** j * rising[j] * sigma**m / x ** (m + j) for j in orders]
+                for j in orders:
+                    for k in orders:
+                        term = ders[j] * ders[k] / norm + ders_pole[j] * ders_pole[k] / norm_pole
+                        full[j][k] += term
+                        if i >= degree // 2:
+                            tail[j][k] += term
+            for j in orders:
+                for k in orders:
+                    worst = max(worst, abs(tail[j][k]) / (full[j][j] * full[k][k]).sqrt())
+    return float(worst)
+
+
+@pytest.mark.parametrize("order, tol", [(0, 1e-8), (2, 1e-10)])
+def test_eps_model_is_the_exact_partial_tail(annulus_domain, order, tol):
+    # The change against the half degree is read from the kept model's own
+    # rows d..2d-1, so it is the exact tail, not a difference that rounds to 0.
+    probes = [0.6, 0.9]
+    model = sl.build_model(annulus_domain, probes=probes, watch_order=order, tol=tol)
+    want = _tail_oracle(annulus_domain, model, probes, order)
+    assert 0.0 < model.eps_model < tol
+    assert abs(model.eps_model / want - 1.0) <= 1e-12
+    assert model.meta["history"][-1] == [model.meta["degree"], model.eps_model]
+
+
+def test_one_gram_and_one_spot_check_per_built_degree(annulus_domain, monkeypatch):
+    built = {"gram_diagonal": [], "spot_check_offdiagonal": []}
+    for name, calls in built.items():
+        original = getattr(dirichlet, name)
+
+        def counting(domain, blocks, *args, original=original, calls=calls):
+            calls.append(block_sizes(blocks) // 2)
+            return original(domain, blocks, *args)
+
+        monkeypatch.setattr(dirichlet, name, counting)
+    # A start well below the degree that converges, so several degrees are built.
+    monkeypatch.setattr(dirichlet, "_initial_degree", lambda *args: 16)
+    model = sl.build_model(annulus_domain, probes=[0.9], watch_order=2, tol=1e-10)
+    degrees = [degree for degree, _ in model.meta["history"]]
+    assert degrees[0] == 32 and len(degrees) >= 3
+    assert all(b == 2 * a for a, b in zip(degrees, degrees[1:]))
+    assert built["gram_diagonal"] == built["spot_check_offdiagonal"] == degrees
+    assert all(change is not None for _, change in model.meta["history"])
+    assert degrees[-1] == model.meta["degree"]
+
+
+def test_watched_matrix_is_reused_and_copied(annulus_domain):
+    probes = [0.9, 0.6j]
+    model = sl.build_model(annulus_domain, probes=probes, watch_order=3, tol=1e-10)
+    blocks = sl.build_blocks(annulus_domain, model.meta["degree"])
+    fresh = sl.KernelModel(
+        annulus_domain, blocks, sl.GramFactorization.from_diagonal(sl.gram_diagonal(annulus_domain, blocks))
+    )
+    for z in probes:
+        want = fresh.metric_matrix(z, 3)
+        got = model.metric_matrix(z, 3)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        got[:] = 0.0
+        again = model.metric_matrix(z, 3)
+        assert np.array_equal(again.view(np.uint64), want.view(np.uint64))
+    profile = sl.curvature_profile(model, 0.9, orders=(1, 2, 3))
+    assert profile == sl.curvature_profile(fresh, 0.9, orders=(1, 2, 3))
+
+
+def test_trimmed_products_equal_the_untrimmed(annulus_domain, monkeypatch, rng):
+    # Near the outer circle the pole block, which comes last, ends in a long
+    # run of zero ladder rows; metric_matrix and kernel_matrix leave it out.
+    blocks = sl.build_blocks(annulus_domain, 2048)
+    model = sl.KernelModel(
+        annulus_domain, blocks, sl.GramFactorization.from_diagonal(sl.gram_diagonal(annulus_domain, blocks))
+    )
+    near = rng.uniform(0.85, 0.95, 40) * np.exp(2j * np.pi * rng.random(40))
+    other = rng.uniform(0.8, 0.9, 30) * np.exp(2j * np.pi * rng.random(30))
+    live = []
+    for pts in (near, other):
+        values = evaluate_blocks(blocks, pts)
+        live.append(dirichlet._live_rows(values, [2048, 2048]))
+        assert np.any(values[live[-1] - 1]) and not np.any(values[live[-1] :])
+    assert max(live) < model.size and live[0] != live[1]
+
+    def outputs():
+        return [
+            np.array([model.metric_matrix(complex(z), 0) for z in near]),
+            np.array([model.metric_matrix(complex(z), 3) for z in near]),
+            model.kernel_matrix(near, near),
+            model.kernel_matrix(near, other),
+            model.kernel_matrix(other, near),
+        ]
+
+    trimmed = outputs()
+    monkeypatch.setattr(dirichlet, "_live_rows", lambda rows, counts: rows.shape[0])
+    for got, want in zip(trimmed, outputs()):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_build_model_dense_route(ellipse_model):

@@ -217,3 +217,26 @@ def test_base_point_on_a_hole(annulus_domain):
     # gap/t = -0.352, -0.423, -0.461: toward kappa/4 = -1/2 for a hole of radius 1/2
     slope = result.columns["gap"] / result.columns["t"]
     assert np.all(slope > -0.5) and np.all(np.diff(slope) < 0.0)
+
+
+@pytest.mark.parametrize("fixture", ["metric_run", "curvature_run", "localization_run", "scaling_run"])
+def test_every_experiment_gates_on_convergence(request, fixture):
+    result = request.getfixturevalue(fixture)
+    assert result.gates["model converged at every step"] is True
+    assert result.meta["converged"] == [True] * len(result.columns["t"])
+
+
+def test_a_step_on_a_model_that_did_not_converge_fails(disk_domain, monkeypatch):
+    def capped_at_second_step(*args, **kwargs):
+        model = sl.build_model(*args, **kwargs)
+        calls.append(model)
+        model.meta["converged"] = len(calls) != 2
+        return model
+
+    calls = []
+    monkeypatch.setattr("spanlab.lab.build_model", capped_at_second_step)
+    config = sl.ExperimentConfig(base_point=1.0 + 0.0j, steps=SHORT)
+    result = sl.run_experiment("metric-distance", disk_domain, config)
+    assert result.meta["converged"] == [True, False, True, True]
+    assert result.gates["model converged at every step"] is False
+    assert not result.passed

@@ -38,7 +38,17 @@ def test_output_digest_runs():
         timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    # 5 run configs x (stdout, CSV, SVG), then metric, metric_matrix and kernel_matrix
+    # 5 run configs x (stdout, one line per CSV column, SVG), then metric,
+    # metric_matrix and kernel_matrix
     lines = done.stdout.splitlines()
-    assert len(lines) == 18
     assert all(len(line.split("  ")[0]) == 64 for line in lines)
+    names = [line.split("  ")[1] for line in lines]
+    assert sum(name.endswith(".stdout") for name in names) == 5
+    assert sum(name.endswith(".svg") for name in names) == 5
+    assert not any(name.endswith(".csv") for name in names)
+    csvs = {name.split(":")[0] for name in names if ".csv:" in name}
+    assert len(csvs) == 5
+    for csv in csvs:
+        assert {f"{csv}:t", f"{csv}:degree", f"{csv}:eps_model"} <= set(names)
+    assert names[-3:] == ["model.metric", "model.metric_matrix", "model.kernel_matrix"]
+    assert len(lines) == 47
