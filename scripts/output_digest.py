@@ -10,7 +10,9 @@ One ``sha256  name`` line per output:
   that column's line alone;
 * the raw bytes of ``metric`` and ``metric_matrix(z, 3)`` at 1000 seeded
   points of a degree-2048 ``annulus(0.5)`` model, one call per point, and of
-  its ``kernel_matrix`` between those points and the first 64 of them.
+  its ``kernel_matrix`` between those points and the first 64 of them;
+* the raw bytes of ``metric`` and ``metric_matrix(z, 2)`` at 64 seeded points
+  of a degree-512 dense-route model of |z| < 1 minus B(0.2, 0.4).
 
 Run it on two checkouts and diff the output: equal lines mean bit-identical
 outputs.  Set ``OPENBLAS_NUM_THREADS=1`` on both, since the BLAS thread count
@@ -86,10 +88,36 @@ def model_digests() -> list[str]:
     ]
 
 
+def dense_digests() -> list[str]:
+    # A probe at -0.9 pins the dense route's cap, degree 512.
+    domain = sl.domain_from_dict(
+        {
+            "outer": {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0},
+            "holes": [{"kind": "circle", "center": [0.2, 0.0], "radius": 0.4}],
+            "anchors": [[0.2, 0.0]],
+        }
+    )
+    model = sl.build_model(domain, probes=[-0.9], watch_order=2, tol=1e-10)
+    if model.meta["degree"] != 512:
+        raise SystemExit(f"expected a degree-512 model, got {model.meta['degree']}")
+    rng = np.random.default_rng(0)
+    points = np.empty(0, dtype=complex)
+    while points.size < 64:
+        z = rng.uniform(-0.95, 0.95, 64) + 1j * rng.uniform(-0.95, 0.95, 64)
+        points = np.concatenate([points, z[(np.abs(z) < 0.95) & (np.abs(z - 0.2) > 0.45)]])
+    points = points[:64]
+    metric = np.array([model.metric(complex(z)) for z in points])
+    matrices = np.array([model.metric_matrix(complex(z), 2) for z in points])
+    return [
+        _line(metric.tobytes(), "dense.metric"),
+        _line(matrices.tobytes(), "dense.metric_matrix"),
+    ]
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         lines, ok = config_digests(Path(scratch))
-    lines += model_digests()
+    lines += model_digests() + dense_digests()
     print("\n".join(lines))
     return 0 if ok else 1
 

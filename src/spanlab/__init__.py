@@ -12,7 +12,6 @@ from .curvature import (
     curvature_from_matrix,
     curvature_profile,
     gaussian_curvature_fd_oracle,
-    higher_order_curvature,
 )
 from .dirichlet import (
     BasisBlock,
@@ -54,7 +53,6 @@ from .reference import (
     DiskMetric,
     HalfPlaneMetric,
     LensMetric,
-    halfdisk_density,
 )
 from .shapes import annulus, disk, domain_from_dict, ellipse
 
@@ -91,9 +89,7 @@ __all__ = [
     "gaussian_curvature_fd_oracle",
     "gram_dense",
     "gram_diagonal",
-    "halfdisk_density",
     "hausdorff_distance_local",
-    "higher_order_curvature",
     "inner_normal_sequence",
     "outward_normal",
     "rotation_center",

@@ -1,4 +1,4 @@
-"""Command-line front end: run experiments, check oracles, validate domains."""
+"""Command-line front end: run experiments, check models against exact oracles, validate domains."""
 
 from __future__ import annotations
 
@@ -8,16 +8,12 @@ import sys
 import numpy as np
 
 from . import lab
-from .curvature import (
-    burbea_bound,
-    curvature_profile,
-    gaussian_curvature_fd_oracle,
-)
+from .curvature import curvature_profile
 from .dirichlet import build_model, default_probes
 from .errors import ConfigError, DomainError
-from .lab import ExperimentConfig, run_experiment
-from .reference import DiskMetric, HalfPlaneMetric, LensMetric, halfdisk_density
-from .shapes import domain_from_dict, json_numbers, read_json
+from .lab import CURVATURE_TOL, METRIC_TOL, ExperimentConfig, run_experiment
+from .reference import AnnulusMetric, DiskAutomorphism, DiskMetric
+from .shapes import annulus, disk, domain_from_dict, json_numbers, read_json
 
 
 # Numeric keys of a run config, each with its conversion to the
@@ -84,81 +80,62 @@ def _cmd_run(args) -> int:
     return 0 if all_ok else 1
 
 
-def _check(label: str, ok: bool, detail: str = "") -> bool:
-    state = "PASS" if ok else "FAIL"
-    suffix = f"  ({detail})" if detail else ""
-    print(f"[{state}] {label}{suffix}")
-    return ok
-
-
-def _oracle_disk_curvature() -> bool:
-    disk = DiskMetric()
-    rng = np.random.default_rng(7)
-    pts = 0.6 * rng.random(5) * np.exp(2j * np.pi * rng.random(5))
-    worst = 0.0
-    for z in pts:
-        prof = curvature_profile(disk, complex(z), orders=(1, 2, 3))
-        for n in (1, 2, 3):
-            worst = max(worst, abs(prof[n] - burbea_bound(n)) / abs(burbea_bound(n)))
-    return _check(
-        "disk curvatures sit on the sharp bounds", worst < 1e-10, f"max rel {worst:.1e}"
+def _oracles() -> list[tuple]:
+    """Label, domain, exact metric, the disk automorphism onto it, base point, inward step, depths."""
+    identity = DiskAutomorphism(0.0)
+    diagonal = (0.1, 0.01, 0.001)
+    # |z| < 1 minus B(0.2, 0.4).  The automorphism with parameter a, the root
+    # in (0, 1) of q a^2 - 2 p a + q = 0, sends the hole's ends -0.2 and 0.6
+    # to -rho and rho: the hole becomes the circle |w| = rho.
+    x1, x2 = -0.2, 0.6
+    p, q = 1.0 + x1 * x2, x1 + x2
+    phi = DiskAutomorphism((p - np.sqrt(p * p - q * q)) / q)
+    eccentric = domain_from_dict(
+        {
+            "outer": {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0},
+            "holes": [{"kind": "circle", "center": [0.2, 0.0], "radius": 0.4}],
+            "anchors": [[0.2, 0.0]],
+        }
     )
+    ring, ring_metric = annulus(0.5), AnnulusMetric(0.5)
+    image = AnnulusMetric(float(phi.apply(x2).real))
+    return [
+        ("disk", disk(), DiskMetric(), identity, 1.0, -1.0, diagonal),
+        ("annulus(0.5)", ring, ring_metric, identity, 1.0, -1.0, diagonal),
+        ("annulus(0.5)", ring, ring_metric, identity, 0.5, 1.0, diagonal),
+        ("dense-eccentric", eccentric, image, phi, -1.0, 1.0, (0.2, 0.1)),
+    ]
 
 
-def _oracle_fd_curvature() -> bool:
-    disk = DiskMetric()
-    rng = np.random.default_rng(7)
-    pts = 0.6 * rng.random(5) * np.exp(2j * np.pi * rng.random(5))
-    worst = max(abs(gaussian_curvature_fd_oracle(disk, complex(z)) + 4.0) for z in pts)
-    return _check(
-        "finite-difference Gaussian curvature on the disk",
-        worst < 1e-4,
-        f"max gap {worst:.1e}",
-    )
+def _exact(reference, phi: DiskAutomorphism, z: complex) -> tuple[float, dict[int, float]]:
+    """Metric and curvatures 1, 2 at z, pulled back by ``phi`` from ``reference``.
 
-
-def _oracle_halfplane() -> bool:
-    hp = HalfPlaneMetric(omega=np.exp(0.3j))
-    rng = np.random.default_rng(7)
-    pts = 0.6 * rng.random(5) * np.exp(2j * np.pi * rng.random(5))
-    zs = 0.4 * pts - 0.2
-    gap = float(np.max(np.abs(np.pi * hp.kernel(zs, zs) - hp.metric(zs))))
-    return _check(
-        "half-plane kernel diagonal matches its metric", gap < 1e-12, f"gap {gap:.1e}"
-    )
-
-
-def _oracle_lens() -> bool:
-    lens = LensMetric.half_disk(1.0)
-    samples = np.array([0.5j, 0.25 + 0.4j, -0.3 + 0.2j, 0.1 + 0.7j])
-    halfdisk = (halfdisk_density(samples) / 2.0) ** 2
-    rel = float(np.max(np.abs(lens.metric(samples) / halfdisk - 1.0)))
-    return _check(
-        "lens uniformization reproduces the half-disk metric",
-        rel < 1e-10,
-        f"max rel {rel:.1e}",
-    )
-
-
-_ORACLES = {
-    "disk-curvature": _oracle_disk_curvature,
-    "fd-curvature": _oracle_fd_curvature,
-    "halfplane": _oracle_halfplane,
-    "lens": _oracle_lens,
-}
+    The metric picks up ``|phi'|^2``; the curvatures are conformal invariants.
+    """
+    w = complex(phi.apply(z))
+    metric = float(reference.metric(w)) * abs(complex(phi.derivative(z))) ** 2
+    return metric, curvature_profile(reference, w, orders=(1, 2))
 
 
 def _cmd_oracle(args) -> int:
-    """Cross-check the closed-form layer against itself along independent routes."""
-    if args.name == "all":
-        names = sorted(_ORACLES)
-    elif args.name in _ORACLES:
-        names = [args.name]
-    else:
-        raise ConfigError(f"unknown oracle {args.name!r}; choose from {sorted(_ORACLES)}")
+    """Build a model at each depth toward a boundary point and check it against exact values."""
     ok = True
-    for name in names:
-        ok &= _ORACLES[name]()
+    for label, domain, reference, phi, base, inward, depths in _oracles():
+        for t in depths:
+            z = complex(base + inward * t)
+            model = build_model(domain, probes=[z], watch_order=2, tol=CURVATURE_TOL)
+            metric, kappas = _exact(reference, phi, z)
+            got = curvature_profile(model, z, orders=(1, 2))
+            gaps = [model.metric(z) / metric] + [got[n] / kappas[n] for n in (1, 2)]
+            gap = float(np.max(np.abs(np.array(gaps) - 1.0)))
+            converged = model.meta["converged"]
+            passed = converged and gap <= METRIC_TOL
+            print(
+                f"[{'PASS' if passed else 'FAIL'}] {label} toward {base:g} t={t:g}: "
+                f"route={model.meta['route']}, converged={converged}, "
+                f"max relative gap {gap:.1e} <= {METRIC_TOL:g}"
+            )
+            ok &= passed
     return 0 if ok else 1
 
 
@@ -205,12 +182,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", help="directory for CSV/SVG output", default=None)
     p_run.set_defaults(func=_cmd_run)
 
-    p_oracle = sub.add_parser("oracle", help="cross-check the closed-form reference layer")
-    p_oracle.add_argument(
-        "name",
-        nargs="?",
-        default="all",
-        help=f"one of {sorted(_ORACLES)} or 'all' (default)",
+    p_oracle = sub.add_parser(
+        "oracle", help="check models built toward the boundary against exact metrics"
     )
     p_oracle.set_defaults(func=_cmd_oracle)
 

@@ -37,7 +37,7 @@ def burbea_bound(order: int) -> float:
     return -float(product) ** 2
 
 
-def curvature_from_matrix(matrix: np.ndarray, order: int | None = None) -> float:
+def curvature_from_matrix(matrix: np.ndarray, order: int) -> float:
     """Order-n curvature from the (n+1) x (n+1) metric derivative matrix.
 
     ``matrix[j, k]`` must hold ``s_{j kbar}``; the top-left entry is the
@@ -47,8 +47,6 @@ def curvature_from_matrix(matrix: np.ndarray, order: int | None = None) -> float
     derivative matrix.
     """
     s_matrix = np.asarray(matrix, dtype=complex)
-    if order is None:
-        order = s_matrix.shape[0] - 1
     if s_matrix.shape[0] < order + 1 or s_matrix.shape[1] < order + 1:
         raise CurvatureError(f"need a {order + 1} x {order + 1} matrix for order {order}")
     sub = s_matrix[: order + 1, : order + 1]
@@ -69,18 +67,13 @@ def curvature_from_matrix(matrix: np.ndarray, order: int | None = None) -> float
     return value
 
 
-def higher_order_curvature(source, z: complex, order: int = 1) -> float:
-    """Order-n curvature of a metric source at a point.
+def curvature_profile(source, z: complex, orders) -> dict[int, float]:
+    """All requested curvature orders from a single derivative matrix.
 
     ``source`` needs a ``metric_matrix(z, order)`` method returning the
     Hermitian matrix ``[s_{j kbar}(z)]``; kernel models and the closed-form
     reference metrics all provide one.
     """
-    return curvature_from_matrix(source.metric_matrix(z, order), order)
-
-
-def curvature_profile(source, z: complex, orders=(1, 2, 3)) -> dict[int, float]:
-    """All requested curvature orders from a single derivative matrix."""
     s_matrix = source.metric_matrix(z, max(orders))
     return {n: curvature_from_matrix(s_matrix, n) for n in orders}
 

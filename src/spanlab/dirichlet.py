@@ -52,7 +52,7 @@ import numpy as np
 
 from .domains import Domain, rotation_center
 from .errors import ConfigError, DomainError, QuadratureError
-from .linalg import hermitize, pivoted_cholesky, unwhiten_solve, whiten_cholesky
+from .linalg import hermitize, pivoted_cholesky, whiten_cholesky
 
 # No product of two numbers this large is subnormal.  ``gram_dense`` zeroes
 # parts below it, and a power ladder stops where every power is below it.
@@ -437,11 +437,6 @@ class GramFactorization:
             return v * (inv_sqrt[:, None] if v.ndim == 2 else inv_sqrt)
         return whiten_cholesky(self.L, self.perm, vectors)
 
-    def solve(self, vector: np.ndarray) -> np.ndarray:
-        if self.kind == "diagonal":
-            return np.asarray(vector, dtype=complex) / self.diag
-        return unwhiten_solve(self.L, self.perm, self.size, vector)
-
 
 def _live_rows(rows: np.ndarray, counts: Sequence[int]) -> int:
     """Number of rows left once the trailing run of zero rows is dropped.
@@ -558,12 +553,6 @@ class KernelModel:
             return watched.copy()
         u, u_conj = self._whitened_jet(z, order)
         return np.pi * (u @ u_conj.T)
-
-    def kernel_coefficients(self, zeta: complex) -> np.ndarray:
-        """Coefficients beta with K(., zeta) = sum_j beta_j g_j."""
-        self._require_interior(np.array([zeta], dtype=complex))
-        v = evaluate_blocks(self.blocks, [zeta])[:, 0]
-        return np.conj(self.factorization.solve(v))
 
 
 # -- adaptive construction --------------------------------------------------

@@ -64,18 +64,6 @@ def whiten_cholesky(L: np.ndarray, perm: np.ndarray, vectors: np.ndarray) -> np.
     return out[:, 0] if single else out
 
 
-def unwhiten_solve(L: np.ndarray, perm: np.ndarray, n: int, vector: np.ndarray) -> np.ndarray:
-    """Solve ``G x = b`` through the pivoted factor, zero-padding dropped pivots."""
-    r = L.shape[1]
-    y = whiten_cholesky(L, perm, vector)
-    x_perm = solve_triangular(
-        L[:r, :r].conj().T, y, lower=False, check_finite=False
-    )
-    x = np.zeros(n, dtype=complex)
-    x[perm[:r]] = x_perm
-    return x
-
-
 def equilibrated_slogdet(a: np.ndarray) -> tuple[complex, float]:
     """Sign and log-magnitude of ``det A`` after symmetric diagonal equilibration.
 

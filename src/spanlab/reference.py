@@ -1,23 +1,24 @@
 """Closed-form reference metrics and kernels, and the maps that carry them.
 
-The disk, the half-plane and the two-corner lens have exact span metrics; the
-disk automorphism moves the disk's metric around, and the lens metric comes
-from an explicit uniformization.  The Moebius inversion that turns a hole
-inside out serves only a test oracle, and lives with the other test-only
-oracles in ``tests/oracles.py``.
+The disk, the half-plane, the two-corner lens and the annulus have exact span
+metrics; the disk automorphism moves the disk's metric around, and the lens
+metric comes from an explicit uniformization.  The annulus metric is Bergman's
+image series of the reduced kernel (S. Bergman, "The Kernel Function and
+Conformal Mapping", AMS Surveys 5): on ``r < |z| < 1`` it is the sum, over
+every integer m, of the metrics of the disks ``|z| < r^-m``, a rearrangement
+of the Laurent series ``sum_{n != -1} (n+1) |z|^{2n} / (1 - r^{2n+2})``.  The
+Moebius inversion that turns a hole inside out serves only a test oracle, and
+lives with the other test-only oracles in ``tests/oracles.py``.
 
 Everything called a *metric* here is the squared density ``s``: on the unit
 disk ``s(z) = 1/(1-|z|^2)^2``.  A curvature ``-1`` first-power density
-``lambda`` relates to it by ``s = (lambda/2)^2``; the only first-power
-quantity in this module is :func:`halfdisk_density`, which is kept in that
-form because it is the natural shape of the quoted formula and doubles as an
-independent oracle for the lens machinery.
+``lambda`` relates to it by ``s = (lambda/2)^2``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import ceil, comb, factorial, log
 
 import numpy as np
 
@@ -75,6 +76,29 @@ class DiskMetric(_MetricMatrix):
 
 
 @dataclass(frozen=True)
+class AnnulusMetric(_MetricMatrix):
+    """Span metric of the annulus r < |z| < 1, summed over its images.
+
+    The image of order m is the metric of the disk ``|z| < r^-m``: the term
+    ``c^(2+j+k) D_{jk}(c z)`` with ``c = r^m`` and ``D`` the unit disk's
+    metric.  The terms fall like ``r^(2|m|)`` relative to the sum however
+    close z lies to either circle, so the number of terms follows from ``r``
+    alone: ``|m| <= 30`` at ``r = 0.5`` for 1e-18.
+    """
+
+    r: float
+
+    def metric(self, z):
+        return self.metric_derivative(z, 0, 0).real
+
+    def metric_derivative(self, z, j: int, k: int):
+        n = ceil(log(1e-18) / log(self.r**2))
+        c = self.r ** np.arange(-n, n + 1.0)
+        w = np.multiply.outer(np.asarray(z, dtype=complex), c)
+        return np.sum(c ** (2 + j + k) * _disk_metric_derivative(w, j, k), axis=-1)
+
+
+@dataclass(frozen=True)
 class HalfPlaneMetric(_MetricMatrix):
     """Span metric of the half-plane { Re(conj(omega) z) < 1 }.
 
@@ -124,18 +148,6 @@ class HalfPlaneMetric(_MetricMatrix):
         s = np.linspace(-half, half, count)
         direction = 1j * self.omega / abs(self.omega)
         return foot + s * direction
-
-
-def halfdisk_density(z, r: float = 1.0):
-    """Curvature -1 density of the half-disk {|z| < r, Im z > 0}.
-
-    First-power convention; square half of it to get the span metric.  At
-    ``z = i r/2`` the value is ``10/(3 r)``.
-    """
-    z = np.asarray(z, dtype=complex)
-    return (
-        np.abs(r + z) * np.abs(r - z) / (z.imag * (r**2 - np.abs(z) ** 2))
-    )
 
 
 @dataclass(frozen=True)
@@ -225,11 +237,6 @@ class LensMetric:
         mid_a = center_a + radius_a * unit
         mid_b = center_b - radius_b * unit
         return cls.from_arcs(w1, w2, mid_a, mid_b, (mid_a + mid_b) / 2.0)
-
-    @classmethod
-    def half_disk(cls, r: float = 1.0) -> "LensMetric":
-        """The half-disk {|z| < r, Im z > 0} as a circle/line lens."""
-        return cls.from_arcs(-r, r, 1j * r, 0.0, 0.5j * r)
 
     def uniformize(self, z):
         """Map to the upper half-plane; valid only for points inside the lens."""

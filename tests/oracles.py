@@ -12,7 +12,11 @@ can hold the package's result against it:
 * ``segments_cross``: every segment of a closed polyline against every other,
   for the k-d tree that picks the candidate pairs of domain validation;
 * ``curve_samples_in_ball_full``: the whole fine parameter grid, filtered
-  afterwards, for the speed-bounded cells of ``curve_samples_in_ball``.
+  afterwards, for the speed-bounded cells of ``curve_samples_in_ball``;
+* ``halfdisk_density`` and ``half_disk_lens``: the half-disk's closed-form
+  density, against the lens uniformization of the same region;
+* ``kernel_coefficients``: the coefficients of ``K(., zeta)`` in a diagonal
+  model's basis, for the reproducing identity.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ from typing import Sequence
 
 import numpy as np
 
-from spanlab.dirichlet import BasisBlock, block_sizes, evaluate_blocks
+from spanlab.dirichlet import BasisBlock, KernelModel, block_sizes, evaluate_blocks
 from spanlab.domains import BoundaryCurve, Domain, rotation_center
 from spanlab.errors import ConfigError, DomainError, QuadratureError
+from spanlab.reference import LensMetric
 from spanlab.linalg import hermitize
 
 
@@ -186,3 +191,24 @@ def curve_samples_in_ball_full(curve: BoundaryCurve, radius: float) -> np.ndarra
     t = np.arange(fine_n) * (2.0 * np.pi / fine_n)
     pts = curve.point(t)
     return pts[np.abs(pts) <= radius]
+
+
+def halfdisk_density(z, r: float = 1.0):
+    """Curvature -1 density of the half-disk {|z| < r, Im z > 0}.
+
+    First-power convention; square half of it to get the span metric.  At
+    ``z = i r/2`` the value is ``10/(3 r)``.
+    """
+    z = np.asarray(z, dtype=complex)
+    return np.abs(r + z) * np.abs(r - z) / (z.imag * (r**2 - np.abs(z) ** 2))
+
+
+def half_disk_lens(r: float) -> LensMetric:
+    """The half-disk {|z| < r, Im z > 0} as a circle/line lens."""
+    return LensMetric.from_arcs(-r, r, 1j * r, 0.0, 0.5j * r)
+
+
+def kernel_coefficients(model: KernelModel, zeta: complex) -> np.ndarray:
+    """Coefficients beta with K(., zeta) = sum_j beta_j g_j, on a diagonal Gram."""
+    v = evaluate_blocks(model.blocks, [zeta])[:, 0]
+    return np.conj(v / model.factorization.diag)

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import dirichlet_inner, gram_area_circular
+from oracles import dirichlet_inner, gram_area_circular, kernel_coefficients
 
 import spanlab as sl
 from spanlab.dirichlet import build_blocks, evaluate_blocks, gram_dense
@@ -66,13 +66,12 @@ def test_criterion_1_disk_exactness(disk_domain):
 
 
 def test_criterion_2_curvature_constants(disk_model, rng):
-    k1 = sl.higher_order_curvature(disk_model, 0j, 1)
-    k2 = sl.higher_order_curvature(disk_model, 0j, 2)
-    err_center = max(abs(k1 + 4.0), abs(k2 + 144.0))
+    center = sl.curvature_profile(disk_model, 0j, orders=(1, 2))
+    err_center = max(abs(center[1] + 4.0), abs(center[2] + 144.0))
     pts = 0.6 * np.sqrt(rng.random(20)) * np.exp(2j * np.pi * rng.random(20))
     worst_fd = 0.0
     for z in pts:
-        matrix_route = sl.higher_order_curvature(disk_model, complex(z), 1)
+        matrix_route = sl.curvature_profile(disk_model, complex(z), orders=(1,))[1]
         fd_route = sl.gaussian_curvature_fd_oracle(disk_model, complex(z), h=5e-4)
         worst_fd = max(worst_fd, abs(matrix_route - fd_route))
     _line(
@@ -180,7 +179,7 @@ def test_criterion_8_property_suite(disk_domain, annulus_domain, annulus_model):
 
     # reproduction identity through an independent boundary quadrature
     zeta = 0.7 + 0.1j
-    beta = annulus_model.kernel_coefficients(zeta)
+    beta = kernel_coefficients(annulus_model, zeta)
 
     def section_primitive(pts):
         return np.tensordot(beta, evaluate_blocks(annulus_model.blocks, pts, -1), axes=(0, 0))

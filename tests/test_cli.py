@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from spanlab import cli
 from spanlab.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -38,19 +39,50 @@ def run_file(tmp_path):
 
 def test_oracle_all(capsys):
     assert main(["oracle"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("[PASS]") == 4
-    assert "[FAIL]" not in out
+    lines = capsys.readouterr().out.splitlines()
+    # three depths on the disk and on annulus(0.5) toward 1 and 0.5, two on
+    # the dense route
+    assert len(lines) == 11
+    assert all(line.startswith("[PASS]") and line.endswith("<= 1e-08") for line in lines)
+    assert sum("route=dense, converged=True" in line for line in lines) == 2
 
 
-def test_oracle_single(capsys):
-    assert main(["oracle", "lens"]) == 0
-    assert capsys.readouterr().out.count("[PASS]") == 1
+def test_oracle_fails_a_model_that_misses_its_oracle(monkeypatch, capsys):
+    exact = cli._exact
+
+    def off_by_a_millionth(reference, phi, z):
+        metric, kappas = exact(reference, phi, z)
+        return metric * (1.0 + 1e-6), kappas
+
+    monkeypatch.setattr(cli, "_exact", off_by_a_millionth)
+    assert main(["oracle"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 11
+    assert all(line.startswith("[FAIL]") for line in lines)
+    assert "max relative gap 1.0e-06 <= 1e-08" in lines[0]
+
+
+def test_oracle_fails_a_model_that_did_not_converge(monkeypatch, capsys):
+    build = cli.build_model
+
+    def unconverged(*args, **kwargs):
+        model = build(*args, **kwargs)
+        model.meta["converged"] = False
+        return model
+
+    monkeypatch.setattr(cli, "build_model", unconverged)
+    assert main(["oracle"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 11
+    assert all(line.startswith("[FAIL]") and "converged=False" in line for line in lines)
 
 
 def test_oracle_unknown_name(capsys):
-    assert main(["oracle", "astrology"]) == 2
-    assert "astrology" in capsys.readouterr().err
+    # the oracle command takes no name: it runs its whole table
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "astrology"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: astrology" in capsys.readouterr().err
 
 
 def test_validate_domain(domain_file, capsys):

@@ -37,9 +37,9 @@ def test_disk_attains_bounds_everywhere(z):
 def test_halfplane_attains_bounds():
     hp = sl.HalfPlaneMetric(np.exp(0.9j) * 1.3)
     for z in (0.0, 0.2 - 0.1j):
+        profile = sl.curvature_profile(hp, z, orders=(1, 2, 3))
         for n in (1, 2, 3):
-            got = sl.higher_order_curvature(hp, z, n)
-            assert abs(got - sl.burbea_bound(n)) < 1e-9 * abs(sl.burbea_bound(n))
+            assert abs(profile[n] - sl.burbea_bound(n)) < 1e-9 * abs(sl.burbea_bound(n))
 
 
 def test_curvature_is_scale_invariant():
@@ -47,7 +47,7 @@ def test_curvature_is_scale_invariant():
     huge = sl.DiskMetric(radius=100.0)
     for ref in (small, huge):
         z = ref.center + 0.3 * ref.radius
-        assert abs(sl.higher_order_curvature(ref, z, 1) + 4.0) < 1e-8
+        assert abs(sl.curvature_profile(ref, z, orders=(1,))[1] + 4.0) < 1e-8
 
 
 @given(z=interior_disk)
@@ -59,7 +59,7 @@ def test_fd_oracle_matches_matrix_route_on_disk(z):
 
 def test_fd_oracle_on_model(annulus_model):
     z = 0.72 + 0.05j
-    matrix_route = sl.higher_order_curvature(annulus_model, z, 1)
+    matrix_route = sl.curvature_profile(annulus_model, z, orders=(1,))[1]
     fd_route = sl.gaussian_curvature_fd_oracle(annulus_model, z)
     assert abs(matrix_route - fd_route) < 1e-4 * abs(matrix_route)
 
@@ -72,7 +72,7 @@ def test_fd_oracle_margin_violation(annulus_model):
 def test_annulus_curvature_strictly_below_bound(annulus_model):
     """The hole forces kappa_1 < -4 strictly; the disk is the only case of equality."""
     for z in (0.75 + 0.0j, 0.55 + 0.2j, -0.6 + 0.3j):
-        kappa = sl.higher_order_curvature(annulus_model, z, 1)
+        kappa = sl.curvature_profile(annulus_model, z, orders=(1,))[1]
         assert kappa < -4.0 - 1e-3
 
 

@@ -6,15 +6,17 @@ Gram routes against each other, then kernel models against closed forms and
 against their own defining identities.
 """
 
+import json
 import tracemalloc
 from decimal import Decimal, localcontext
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import dirichlet_inner, gram_area_circular, inverted_domain
+from oracles import dirichlet_inner, gram_area_circular, inverted_domain, kernel_coefficients
 
 import spanlab as sl
 from spanlab import dirichlet
@@ -113,6 +115,30 @@ def test_diagonal_route_matches_dense_route(annulus_domain):
     assert np.max(np.abs(np.diag(dense).real - diag) / diag) < 1e-12
     off = dense - np.diag(np.diag(dense))
     assert np.max(np.abs(off)) < 1e-12 * np.max(diag)
+
+
+def _config_depths(pattern: str) -> list[float]:
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    steps = {t for path in configs.glob(pattern) for t in json.loads(path.read_text())["steps"]}
+    return sorted(steps, reverse=True)
+
+
+@pytest.mark.parametrize("base, inward", [(1.0, -1.0), (0.5, 1.0)], ids=["outer", "hole"])
+def test_diagonal_route_matches_annulus_image_series(base, inward):
+    # every depth of the annulus(0.5) run configs, toward both circles
+    dom = sl.annulus(0.5)
+    ref = sl.reference.AnnulusMetric(0.5)
+    depths = _config_depths("annulus-*.json")
+    assert len(depths) == 13
+    for t in depths:
+        z = base + inward * t
+        model = sl.build_model(dom, probes=[z], watch_order=2, tol=1e-10)
+        assert model.meta["route"] == "diagonal" and model.meta["converged"]
+        assert abs(model.metric(z) / ref.metric(z) - 1.0) <= 1e-12, t
+        got = sl.curvature_profile(model, z, orders=(1, 2))
+        want = sl.curvature_profile(ref, z, orders=(1, 2))
+        for n in (1, 2):
+            assert abs(got[n] / want[n] - 1.0) <= 1e-12, (t, n)
 
 
 def test_gram_dense_flush_keeps_the_gram():
@@ -476,7 +502,7 @@ def test_reproduction_identity(annulus_model):
     domain = annulus_model.domain
     blocks = annulus_model.blocks
     zeta = 0.7 + 0.1j
-    beta = annulus_model.kernel_coefficients(zeta)
+    beta = kernel_coefficients(annulus_model, zeta)
 
     def section_primitive(pts):
         return np.tensordot(beta, evaluate_blocks(blocks, pts, -1), axes=(0, 0))
@@ -699,7 +725,7 @@ def test_build_model_dense_route(ellipse_model):
 def test_ellipse_model_fd_curvature_consistency(ellipse_model):
     """Dense-route model passes an independent curvature cross-check."""
     z = 0.2 + 0.1j
-    matrix_route = sl.higher_order_curvature(ellipse_model, z, 1)
+    matrix_route = sl.curvature_profile(ellipse_model, z, orders=(1,))[1]
     fd_route = sl.gaussian_curvature_fd_oracle(ellipse_model, z, h=1e-3)
     assert abs(matrix_route - fd_route) < 5e-4 * abs(matrix_route)
 

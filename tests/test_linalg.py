@@ -8,7 +8,6 @@ from spanlab.linalg import (
     equilibrated_slogdet,
     hermitize,
     pivoted_cholesky,
-    unwhiten_solve,
     whiten_cholesky,
 )
 
@@ -53,14 +52,6 @@ def test_whiten_gives_orthonormal_coordinates(rng):
     wy = whiten_cholesky(low, perm, y)
     direct = x.conj() @ np.linalg.solve(a, y)
     assert abs(np.vdot(wx, wy) - direct) < 1e-8 * (1 + abs(direct))
-
-
-def test_unwhiten_solve_matches_solve(rng):
-    a = random_psd(rng, 7)
-    perm, low, _ = pivoted_cholesky(a)
-    b = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-    x = unwhiten_solve(low, perm, 7, b)
-    assert np.allclose(a @ x, b, atol=1e-8 * np.max(np.abs(b)))
 
 
 def test_equilibrated_slogdet_agrees_with_numpy(rng):

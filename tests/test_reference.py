@@ -5,11 +5,14 @@ paranoid treatment: every closed form is verified against either a second
 closed form, a finite-difference route, or a pinned hand-computed value.
 """
 
+from decimal import Decimal, localcontext
+from math import ceil, log
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import MobiusMap, inverted_domain
+from oracles import MobiusMap, half_disk_lens, halfdisk_density, inverted_domain
 
 import spanlab as sl
 
@@ -69,6 +72,42 @@ def test_disk_kernel_function():
     assert abs(sl.DiskMetric().kernel(z, w) - 1.0 / (np.pi * (1 - z * np.conj(w)) ** 2)) < 1e-15
 
 
+# -- annulus --------------------------------------------------------------------
+
+
+def _laurent_metric(x: float, r: float) -> Decimal:
+    """sum_{n != -1} (n+1) x^{2n} / (1 - r^{2n+2}) at 40 digits, for real r < x < 1.
+
+    Both tails fall geometrically, by x^2 and by (r/x)^2 per term; the sum
+    stops where each is below 1e-45.
+    """
+    terms = ceil(45 * log(10) / (2 * min(-log(x), log(x / r)))) + 2
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x2, q = Decimal(x) ** 2, Decimal(r) ** 2
+        return sum(
+            (n + 1) * x2**n / (1 - q ** (n + 1)) for n in range(-terms, terms) if n != -1
+        )
+
+
+@pytest.mark.parametrize("x", [0.52, 0.75, 0.9, 0.99])
+def test_annulus_image_series_matches_laurent_series(x):
+    want = _laurent_metric(x, 0.5)
+    ref = sl.reference.AnnulusMetric(0.5)
+    for z in (x, x * np.exp(2.1j)):
+        assert abs(ref.metric(z) / float(want) - 1.0) <= 1e-14
+
+
+def test_annulus_metric_matrix_is_hermitian_and_rotation_invariant():
+    ref = sl.reference.AnnulusMetric(0.5)
+    z, turn = 0.7 + 0.1j, np.exp(0.4j)
+    m = ref.metric_matrix(z, 2)
+    assert np.allclose(m, m.conj().T, rtol=1e-14, atol=0.0)
+    # s_{j kbar}(e^{i a} z) = e^{-i a j} e^{i a k} s_{j kbar}(z)
+    phase = np.outer(turn ** -np.arange(3.0), turn ** np.arange(3.0))
+    assert np.allclose(ref.metric_matrix(turn * z, 2), phase * m, rtol=1e-13, atol=0.0)
+
+
 # -- half-plane -----------------------------------------------------------------
 
 
@@ -114,9 +153,9 @@ def test_halfplane_derivative_vs_fd():
 
 
 def test_halfdisk_density_pinned_value():
-    assert abs(sl.halfdisk_density(0.5j) - 10.0 / 3.0) < 1e-14
-    assert abs(sl.halfdisk_density(1.0j, r=2.0) - sl.halfdisk_density(0.5j) / 2.0) < 1e-14
-    assert abs((sl.halfdisk_density(0.5j) / 2.0) ** 2 - (5.0 / 3.0) ** 2) < 1e-13
+    assert abs(halfdisk_density(0.5j) - 10.0 / 3.0) < 1e-14
+    assert abs(halfdisk_density(1.0j, r=2.0) - halfdisk_density(0.5j) / 2.0) < 1e-14
+    assert abs((halfdisk_density(0.5j) / 2.0) ** 2 - (5.0 / 3.0) ** 2) < 1e-13
 
 
 @given(t=st.floats(0.01, 0.5))
@@ -124,7 +163,7 @@ def test_halfdisk_halfplane_ratio_in_unit_interval(t):
     """lambda_halfplane / lambda_halfdisk = (r^2-|z|^2)/(|r+z||r-z|) on z = it."""
     z = 1j * t
     lam_halfplane = 1.0 / t  # upper half-plane density at height t
-    ratio = lam_halfplane / sl.halfdisk_density(z)
+    ratio = lam_halfplane / halfdisk_density(z)
     expected = (1.0 - t * t) / abs((1 + z) * (1 - z))
     assert abs(ratio - expected) < 1e-12
     assert 0.0 < ratio <= 1.0
@@ -132,7 +171,7 @@ def test_halfdisk_halfplane_ratio_in_unit_interval(t):
 
 def test_halfdisk_ratio_tends_to_one():
     ts = np.array([0.2, 0.1, 0.05, 0.025, 0.0125])
-    ratios = (1.0 / ts) / sl.halfdisk_density(1j * ts)
+    ratios = (1.0 / ts) / halfdisk_density(1j * ts)
     assert np.all(np.diff(ratios) > 0)
     assert ratios[-1] > 0.999
 
@@ -141,9 +180,9 @@ def test_halfdisk_ratio_tends_to_one():
 
 
 def test_lens_half_disk_agrees_with_closed_form():
-    lens = sl.LensMetric.half_disk(1.0)
+    lens = half_disk_lens(1.0)
     pts = np.array([0.5j, 0.25 + 0.4j, -0.3 + 0.2j, 0.1 + 0.7j, 0.6 + 0.1j])
-    rel = np.abs(lens.metric(pts) / (sl.halfdisk_density(pts) / 2.0) ** 2 - 1.0)
+    rel = np.abs(lens.metric(pts) / (halfdisk_density(pts) / 2.0) ** 2 - 1.0)
     assert np.max(rel) < 1e-12
 
 

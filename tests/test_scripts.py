@@ -39,7 +39,8 @@ def test_output_digest_runs():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     # 5 run configs x (stdout, one line per CSV column, SVG), then metric,
-    # metric_matrix and kernel_matrix
+    # metric_matrix and kernel_matrix of a diagonal-route model, and metric and
+    # metric_matrix of a dense-route one
     lines = done.stdout.splitlines()
     assert all(len(line.split("  ")[0]) == 64 for line in lines)
     names = [line.split("  ")[1] for line in lines]
@@ -50,5 +51,11 @@ def test_output_digest_runs():
     assert len(csvs) == 5
     for csv in csvs:
         assert {f"{csv}:t", f"{csv}:degree", f"{csv}:eps_model"} <= set(names)
-    assert names[-3:] == ["model.metric", "model.metric_matrix", "model.kernel_matrix"]
-    assert len(lines) == 47
+    assert names[-5:] == [
+        "model.metric",
+        "model.metric_matrix",
+        "model.kernel_matrix",
+        "dense.metric",
+        "dense.metric_matrix",
+    ]
+    assert len(lines) == 49
