@@ -12,7 +12,11 @@ One ``sha256  name`` line per output:
   points of a degree-2048 ``annulus(0.5)`` model, one call per point, and of
   its ``kernel_matrix`` between those points and the first 64 of them;
 * the raw bytes of ``metric`` and ``metric_matrix(z, 2)`` at 64 seeded points
-  of a degree-512 dense-route model of |z| < 1 minus B(0.2, 0.4).
+  of a degree-512 dense-route model of |z| < 1 minus B(0.2, 0.4);
+* the raw bytes of three geometry outputs: the nodes of ``annulus(0.5)``
+  blown up at ``1 - t`` for t = 0.00625, the samples of its outer curve
+  within ``CLIP_RADIUS``, and the ``nearest_boundary`` feet at 64 seeded
+  points inside the ellipse with semi-axes 1 and 0.6.
 
 Run it on two checkouts and diff the output: equal lines mean bit-identical
 outputs.  Set ``OPENBLAS_NUM_THREADS=1`` on both, since the BLAS thread count
@@ -33,6 +37,8 @@ import numpy as np
 
 import spanlab as sl
 from spanlab.cli import main as spanlab_main
+from spanlab.domains import curve_samples_in_ball
+from spanlab.lab import CLIP_RADIUS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -114,10 +120,25 @@ def dense_digests() -> list[str]:
     ]
 
 
+def geometry_digests() -> list[str]:
+    t = 0.00625
+    blown = sl.scaled_domain(sl.annulus(0.5), 1.0 - t, t)
+    nodes = np.concatenate([curve.points for curve in blown.curves])
+    ellipse = sl.ellipse(semi_axes=(1.0, 0.6))
+    rng = np.random.default_rng(0)
+    points = np.sqrt(rng.random(64)) * np.exp(2j * np.pi * rng.random(64))
+    points = points.real + 0.6j * points.imag  # inside the ellipse
+    return [
+        _line(nodes.tobytes(), "geometry.scaled_nodes"),
+        _line(curve_samples_in_ball(blown.outer, CLIP_RADIUS).tobytes(), "geometry.clip_samples"),
+        _line(ellipse.nearest_boundary(points)[2].tobytes(), "geometry.ellipse_feet"),
+    ]
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         lines, ok = config_digests(Path(scratch))
-    lines += model_digests() + dense_digests()
+    lines += model_digests() + dense_digests() + geometry_digests()
     print("\n".join(lines))
     return 0 if ok else 1
 

@@ -13,40 +13,34 @@ from .dirichlet import build_model, default_probes
 from .errors import ConfigError, DomainError
 from .lab import CURVATURE_TOL, METRIC_TOL, ExperimentConfig, run_experiment
 from .reference import AnnulusMetric, DiskAutomorphism, DiskMetric
-from .shapes import annulus, disk, domain_from_dict, json_numbers, read_json
-
-
-# Numeric keys of a run config, each with its conversion to the
-# ``ExperimentConfig`` field of the same name.
-_NUMERIC_KEYS = {
-    "base_point": lambda bp: complex(*json_numbers(bp)),
-    "steps": json_numbers,
-    "orders": lambda orders: json_numbers(orders, int),
-}
-_RUN_KEYS = {"experiment", "domain", *_NUMERIC_KEYS}
+from .shapes import (
+    _as_complex,
+    _check_keys,
+    _read,
+    annulus,
+    disk,
+    domain_from_dict,
+    json_numbers,
+    read_json,
+)
 
 
 def _run_config(raw, path: str) -> tuple[list[str], object, ExperimentConfig]:
     """Experiment names, domain and config from ``raw``, the parsed file at ``path``."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object")
-    extra = set(raw) - _RUN_KEYS
-    if extra:
-        raise ConfigError(f"{path}: unknown keys {sorted(extra)}")
-    for key in ("experiment", "domain", "base_point"):
-        if key not in raw:
-            raise ConfigError(f"{path}: missing key {key!r}")
+    _check_keys(
+        raw,
+        {"experiment", "domain", "base_point", "steps", "orders"},
+        {"experiment", "domain", "base_point"},
+        path,
+    )
     domain = domain_from_dict(raw["domain"])
-    bp = raw["base_point"]
-    if not (isinstance(bp, (list, tuple)) and len(bp) == 2):
-        raise ConfigError(f"{path}: base_point must be [re, im]")
-    kwargs = {}
-    for key, convert in _NUMERIC_KEYS.items():
-        if key in raw:
-            try:
-                kwargs[key] = convert(raw[key])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"{path}: malformed {key} ({exc})") from None
+    kwargs = {"base_point": _as_complex(raw["base_point"], "base_point")}
+    if "steps" in raw:
+        kwargs["steps"] = _read(raw["steps"], "steps", json_numbers)
+    if "orders" in raw:
+        kwargs["orders"] = _read(raw["orders"], "orders", json_numbers, kind=int)
     config = ExperimentConfig(**kwargs)
     names = raw["experiment"]
     if names == "all":
@@ -196,7 +190,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DomainError, FileNotFoundError) as exc:
+    except (ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,6 +7,9 @@ A boundary curve is stored as a trigonometric polynomial
 together with M equispaced sample nodes.  Derivatives, normals and quadrature
 weights all come from the coefficients, so boundary data is spectrally
 accurate; there is no polygonal approximation anywhere in the geometry layer.
+``BoundaryCurve._jet`` is the one curve evaluator: nodes, ``point``,
+``derivative``, Newton feet and normals all come from it.  It calls no BLAS,
+so a point's value does not depend on which other points share the call.
 
 Orientation convention: the outer curve runs counterclockwise, hole curves run
 clockwise, so the concatenation of all curves is the positively oriented
@@ -64,8 +67,7 @@ class BoundaryCurve:
         )
         self.nodes = int(nodes)
         self.params = np.arange(self.nodes) * (2.0 * np.pi / self.nodes)
-        self.points = self.point(self.params)
-        self.velocities = self.derivative(self.params, 1)
+        self.points, self.velocities = np.ascontiguousarray(self._jet(self.params, 1).T)
         self.speed = np.abs(self.velocities)
         if np.min(self.speed) <= 0.0:
             raise DomainError("curve parametrization has a stationary point")
@@ -76,15 +78,10 @@ class BoundaryCurve:
     # -- evaluation ---------------------------------------------------------
 
     def point(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        phases = np.exp(1j * np.multiply.outer(self.wavenumbers, t))
-        return np.tensordot(self.coefficients, phases, axes=(0, 0))
+        return self._jet(t, 0)[..., 0]
 
-    def derivative(self, t, order: int = 1) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        factors = (1j * self.wavenumbers) ** order * self.coefficients
-        phases = np.exp(1j * np.multiply.outer(self.wavenumbers, t))
-        return np.tensordot(factors, phases, axes=(0, 0))
+    def derivative(self, t) -> np.ndarray:
+        return self._jet(t, 1)[..., 1]
 
     def resample(self, nodes: int) -> "BoundaryCurve":
         return BoundaryCurve(
@@ -140,12 +137,12 @@ class BoundaryCurve:
     def _jet(self, t, order: int) -> np.ndarray:
         """(..., order + 1) array of the derivatives of orders 0..order at ``t``.
 
-        One exponential serves every order.  The modes are summed per point
-        along a contiguous axis, so a point's values do not depend on which
-        other points share the call (a BLAS product would not promise that).
+        One exponential serves every order.  ``einsum`` without ``optimize``
+        calls no BLAS and sums the modes of each point in their own order, so
+        a point's values do not depend on which other points share the call.
         """
         phases = np.exp(1j * np.multiply.outer(np.asarray(t, dtype=float), self.wavenumbers))
-        return (phases[..., None, :] * self._jet_factors[: order + 1]).sum(axis=-1)
+        return np.einsum("...m,jm->...j", phases, self._jet_factors[: order + 1])
 
     def nearest_parameter(self, pts) -> np.ndarray:
         """Parameters of the curve points nearest to each point of the 1-D array ``pts``.
@@ -306,7 +303,7 @@ class Domain:
         """
         z = np.atleast_1d(np.asarray(pts, dtype=complex))
         params = np.array([curve.nearest_parameter(z) for curve in self.curves])
-        feet = np.array([c._jet(t, 0)[:, 0] for c, t in zip(self.curves, params)])
+        feet = np.array([c.point(t) for c, t in zip(self.curves, params)])
         dists = np.abs(feet - z)
         idx = np.argmin(dists, axis=0)
         pick = (idx, np.arange(z.size))
@@ -378,7 +375,7 @@ def outward_normal(domain: Domain, p: complex) -> complex:
     (idx,), (t,), _, (dist,) = domain.nearest_boundary(p)
     if dist > domain.band:
         raise DomainError(f"{p} is not a boundary point (distance {dist:.3e})")
-    g1 = complex(domain.curves[idx].derivative(t, 1))
+    g1 = complex(domain.curves[idx].derivative(t))
     return -1j * g1 / abs(g1)
 
 

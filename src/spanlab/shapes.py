@@ -15,7 +15,10 @@ Top-level schema::
 
 Curve kinds: ``circle`` (center, radius), ``ellipse`` (center, semi_axes,
 rotation), ``fourier`` (coefficients as {"k": [re, im]}), ``polygon``
-(vertices, smoothing).
+(vertices, smoothing >= 0, modes).  Each kind has one curve constructor here,
+and the defaults of optional keys live only in this reader.  A malformed value
+is reported as ``<where>: malformed value (...)``, with ``where`` the key's
+path, such as ``domain.outer.radius``.
 """
 
 from __future__ import annotations
@@ -57,20 +60,8 @@ def ellipse(
     rotation: float = 0.0,
     nodes: int = 512,
 ) -> Domain:
-    a, b = semi_axes
-    if a <= 0 or b <= 0:
-        raise DomainError("ellipse semi-axes must be positive")
-    rot = np.exp(1j * rotation)
-    return Domain(
-        BoundaryCurve(
-            {
-                0: complex(center),
-                1: rot * (a + b) / 2.0,
-                -1: rot * (a - b) / 2.0,
-            },
-            nodes=nodes,
-        )
-    )
+    """The ellipse with the given semi-axes, rotated by ``rotation`` about ``center``."""
+    return Domain(ellipse_curve(center, semi_axes, rotation, nodes))
 
 
 def circle_curve(
@@ -83,11 +74,21 @@ def circle_curve(
     return BoundaryCurve({0: complex(center), orientation: radius}, nodes=nodes)
 
 
+def ellipse_curve(
+    center: complex, semi_axes: tuple[float, float], rotation: float, nodes: int
+) -> BoundaryCurve:
+    """Counterclockwise ellipse: ``c_0 = center`` and ``c_{+-1} = e^{i rotation} (a +- b) / 2``."""
+    a, b = semi_axes
+    if a <= 0 or b <= 0:
+        raise DomainError("ellipse semi-axes must be positive")
+    rot = np.exp(1j * rotation)
+    return BoundaryCurve(
+        {0: complex(center), 1: rot * (a + b) / 2.0, -1: rot * (a - b) / 2.0}, nodes=nodes
+    )
+
+
 def smoothed_polygon_curve(
-    vertices: list[complex],
-    smoothing: float = 0.02,
-    modes: int = 64,
-    nodes: int = 512,
+    vertices: list[complex], smoothing: float, modes: int, nodes: int
 ) -> BoundaryCurve:
     """Fourier smoothing of a closed polygon.
 
@@ -183,13 +184,12 @@ def curve_from_dict(obj: dict, nodes: int, orientation: int, where: str) -> Boun
         )
         if orientation != 1:
             raise ConfigError(f"{where}: ellipse holes are not supported yet")
-        dom = ellipse(
+        return ellipse_curve(
             _as_complex(obj["center"], f"{where}.center"),
             _read(obj["semi_axes"], f"{where}.semi_axes", json_numbers, count=2),
-            rotation=_read(obj.get("rotation", 0.0), f"{where}.rotation"),
-            nodes=nodes,
+            _read(obj.get("rotation", 0.0), f"{where}.rotation"),
+            nodes,
         )
-        return dom.outer
     if kind == "fourier":
         _check_keys(obj, {"kind", "coefficients"}, {"kind", "coefficients"}, where)
         raw = obj["coefficients"]
@@ -211,11 +211,15 @@ def curve_from_dict(obj: dict, nodes: int, orientation: int, where: str) -> Boun
             where,
         )
         vertices = _as_list(obj["vertices"], f"{where}.vertices")
+        smoothing = _read(obj.get("smoothing", 0.02), f"{where}.smoothing")
+        if smoothing < 0.0:
+            # exp(-smoothing k^2) would grow without bound
+            raise ConfigError(f"{where}.smoothing: malformed value (expected >= 0, got {smoothing})")
         return smoothed_polygon_curve(
             [_as_complex(v, f"{where}.vertices[{i}]") for i, v in enumerate(vertices)],
-            smoothing=_read(obj.get("smoothing", 0.02), f"{where}.smoothing"),
-            modes=_read(obj.get("modes", 64), f"{where}.modes", kind=int),
-            nodes=nodes,
+            smoothing,
+            _read(obj.get("modes", 64), f"{where}.modes", kind=int),
+            nodes,
         )
     raise ConfigError(f"{where}: unknown curve kind {kind!r}")
 

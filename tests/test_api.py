@@ -103,7 +103,7 @@ def test_settable_values_are_pinned():
                 count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
             elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
                 count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
-    assert count == 44
+    assert count == 40
 
 
 def test_test_only_oracles_are_not_public():

@@ -143,7 +143,7 @@ def test_run_rejects_unknown_keys(tmp_path, capsys):
         path.write_text(json.dumps(config))
         assert main(["run", str(path)]) == 2, (key, value)
         err = capsys.readouterr().err
-        assert f"malformed {key}" in err and "Traceback" not in err
+        assert f"{key}: malformed value" in err and "Traceback" not in err
     # build tolerances and the clip radius are constants, not run-config keys
     for key in ("metric_tol", "curvature_tol", "clip_radius"):
         config = {"experiment": "metric-distance", "domain": disk, "base_point": [1, 0], key: 1e-8}
@@ -151,11 +151,16 @@ def test_run_rejects_unknown_keys(tmp_path, capsys):
         assert main(["run", str(path)]) == 2, key
         assert f"unknown keys ['{key}']" in capsys.readouterr().err
     # and so are malformed numbers inside the domain
-    bad_disk = {"outer": {"kind": "circle", "center": [0.0, 0.0], "radius": None}}
-    config = {"experiment": "metric-distance", "domain": bad_disk, "base_point": [1, 0]}
-    path.write_text(json.dumps(config))
-    assert main(["run", str(path)]) == 2
-    assert "domain.outer.radius: malformed" in capsys.readouterr().err
+    square = [[1, -1], [1, 1], [-1, 1], [-1, -1]]
+    for outer, where in (
+        ({"kind": "circle", "center": [0.0, 0.0], "radius": None}, "domain.outer.radius"),
+        ({"kind": "polygon", "vertices": square, "smoothing": -5}, "domain.outer.smoothing"),
+    ):
+        config = {"experiment": "metric-distance", "domain": {"outer": outer}, "base_point": [1, 0]}
+        path.write_text(json.dumps(config))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{where}: malformed value" in err and "Traceback" not in err
 
 
 def test_run_rejects_invalid_json(tmp_path, capsys):
@@ -183,6 +188,19 @@ def test_checked_in_configs_validate(path, capsys):
 
 def test_missing_file_exit_code(capsys):
     assert main(["validate", "/no/such/file.json"]) == 2
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_directory_is_an_error_not_a_crash(tmp_path, command, capsys):
+    assert main([command, str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unwritable_out_is_an_error_not_a_crash(run_file, tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file where the output directory should go")
+    assert main(["run", run_file, "--out", str(blocker)]) == 2
+    assert "error: " in capsys.readouterr().err
 
 
 def test_validate_rejects_malformed_domain(tmp_path, capsys):

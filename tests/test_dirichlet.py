@@ -776,7 +776,7 @@ def test_ellipse_model_accepts_points_between_nodes(ellipse_model):
     # (sagitta up to 1.9e-5) refused the two shallower depths.
     curve = ellipse_model.domain.outer
     mid = curve.params + np.pi / curve.nodes
-    inward = 1j * curve.derivative(mid, 1) / np.abs(curve.derivative(mid, 1))
+    inward = 1j * curve.derivative(mid) / np.abs(curve.derivative(mid))
     depths = np.array([2e-7, 2e-6, 2e-5, 2e-4])[:, None]
     pts = (curve.point(mid) + depths * inward).ravel()
     assert np.all(ellipse_model.domain.inside(pts))

@@ -1,6 +1,7 @@
 """Geometry layer: curves, containment, scaling, clipped Hausdorff."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from scipy.spatial.distance import cdist
 
 import spanlab as sl
 from spanlab.domains import BAND_FACTOR, _check_simple, curve_samples_in_ball
-from spanlab.shapes import read_json
+from spanlab.shapes import read_json, smoothed_polygon_curve
 
 # -- curves -------------------------------------------------------------------
 
@@ -42,6 +43,25 @@ def test_curve_derivative_matches_fd():
     h = 1e-6
     fd = (curve.point(t + h) - curve.point(t - h)) / (2 * h)
     assert np.max(np.abs(fd - curve.derivative(t))) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [
+        sl.BoundaryCurve({0: 0.1 + 0.2j, 1: 1.0, 2: 0.3, -3: 0.05j}),
+        smoothed_polygon_curve([1.2 - 1j, 1.2 + 1j, -1.2 + 1j, -1.2 - 1j], 0.02, 64, 512),
+    ],
+    ids=["four-modes", "polygon"],
+)
+def test_curve_values_do_not_depend_on_the_batch(curve):
+    # one evaluator, with no BLAS product whose blocking depends on the batch
+    t = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, 100_000)
+    points, velocities = curve.point(t), curve.derivative(t)
+    for i in np.linspace(0, t.size - 1, 200).astype(int):
+        assert curve.point(t[i]) == points[i]
+        assert curve.derivative(t[i]) == velocities[i]
+    assert np.array_equal(curve.points, curve._jet(curve.params, 0)[:, 0])
+    assert np.array_equal(curve.velocities, curve._jet(curve.params, 1)[:, 1])
 
 
 def test_nearest_parameter_on_circle():
@@ -320,7 +340,7 @@ def test_nearest_boundary_beats_a_fine_grid_on_the_ellipse(angle, log_depth, out
     # inner depths stay below the least radius of curvature, 0.36, so the
     # nearest point is unique
     curve = _ELLIPSE.outer
-    velocity = complex(curve.derivative(angle, 1))
+    velocity = complex(curve.derivative(angle))
     depth = 10.0**log_depth * _ELLIPSE.diameter * (1.0 if outward else -1.0)
     z = complex(curve.point(angle)) - 1j * depth * velocity / abs(velocity)
     (dist,) = _ELLIPSE.nearest_boundary(z)[3]
@@ -579,8 +599,10 @@ def test_domain_dict_requires_anchor_per_hole():
 
 
 def test_domain_dict_complex_shape_checked():
-    # every domain number is a finite JSON number of the right type and shape
+    # every domain number is a finite JSON number of the right type and shape,
+    # and the error names where it is
     ellipse = {"outer": {"kind": "ellipse", "center": [0, 0], "semi_axes": [1.0, 0.5]}}
+    square = {"outer": {"kind": "polygon", "vertices": [[1, -1], [1, 1], [-1, 1], [-1, -1]]}}
     for base, path, value in (
         (annulus_dict(), ("anchors",), [[0.0]]),
         (annulus_dict(), ("outer", "center"), [True, 0]),
@@ -593,6 +615,7 @@ def test_domain_dict_complex_shape_checked():
         (ellipse, ("outer", "semi_axes"), ["1", 0.5]),
         (ellipse, ("outer", "semi_axes"), [1]),
         (ellipse, ("outer", "rotation"), True),
+        (square, ("outer", "smoothing"), -5),  # exp(-smoothing k^2) would overflow
     ):
         bad = json.loads(json.dumps(base))
         *parents, key = path
@@ -600,7 +623,7 @@ def test_domain_dict_complex_shape_checked():
         for name in parents:
             target = target[name]
         target[key] = value
-        with pytest.raises(sl.ConfigError):
+        with pytest.raises(sl.ConfigError, match=re.escape(".".join(("domain", *path)))):
             sl.domain_from_dict(bad)
 
 
