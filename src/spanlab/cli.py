@@ -150,7 +150,7 @@ def _cmd_validate(args) -> int:
     meta = model.meta
     print(
         f"model: route={meta['route']} degree={meta['degree']} "
-        f"size={model.size} rank={model.factorization.rank}"
+        f"size={model.size} rank={model.factorization.rank} nodes={meta['nodes']}"
     )
     print(f"condition estimate: {meta['condition']:.3e}")
     print(f"resolution floor: {meta['eps_model']:.3e} (converged={meta['converged']})")

@@ -226,8 +226,34 @@ def _flush_tiny(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def gram_dense(domain: Domain, blocks: Sequence[BasisBlock]) -> tuple[np.ndarray, float]:
-    """Full Gram matrix by boundary quadrature; returns (matrix, hermitian residual).
+def _gram_nodes(domain: Domain, blocks: Sequence[BasisBlock]) -> int:
+    """Node count of ``gram_dense``: ``max(2p + 64, max curve.nodes)``.
+
+    ``p`` is the highest power that any value or primitive reaches: the end
+    of the range for a monomial block (its primitives gain a power) and one
+    below it for a pole block (its primitives lose one).  See ``gram_dense``.
+    """
+    p = max(b.start + b.count - (b.kind == "pole") for b in blocks)
+    return max(2 * p + 64, max(c.nodes for c in domain.curves))
+
+
+def gram_dense(
+    domain: Domain, blocks: Sequence[BasisBlock], nodes: int
+) -> tuple[np.ndarray, float]:
+    """Full Gram matrix by boundary quadrature on ``nodes`` nodes per curve.
+
+    Returns (matrix, hermitian residual).  ``build_model`` passes
+    ``_gram_nodes``, ``max(2p + 64, max curve.nodes)`` with ``p`` the highest
+    power of any value or primitive.  The trapezoid rule on N equispaced
+    nodes is exact for trigonometric polynomials of degree < N (Trefethen and
+    Weideman, SIAM Review 56, 2014).  Each entry pairs two functions only, and
+    on a circle about a block's own centre its values and primitives are
+    single Fourier modes of degree at most p, so the integrand
+    ``g_j conj(G_k) gamma'`` has degree at most 2p + 1 < N there.  On the
+    other curves the functions are analytic across the curve and their
+    coefficients decay geometrically; the 64 spare nodes and the curves' own
+    node counts cover that.  The total basis size never enters one product's
+    bandwidth, so the count does not grow with the number of holes.
 
     Real and imaginary parts below ``sqrt(tiny)`` ~ 1.5e-154 of the weighted
     values and of the primitives are zeroed before the product, which keeps it
@@ -236,7 +262,6 @@ def gram_dense(domain: Domain, blocks: Sequence[BasisBlock]) -> tuple[np.ndarray
     are squared norms of ~1e-4 or more at the degrees the dense route uses.
     """
     n = block_sizes(blocks)
-    nodes = max(2 * n + 64, max(c.nodes for c in domain.curves))
     gram = np.zeros((n, n), dtype=complex)
     for curve in domain.curves:
         c = curve if curve.nodes == nodes else curve.resample(nodes)
@@ -354,29 +379,29 @@ def spot_check_offdiagonal(domain: Domain, blocks: Sequence[BasisBlock], diag: n
     return worst
 
 
-def zero_period_residual(domain: Domain, blocks: Sequence[BasisBlock]) -> float:
+def zero_period_residual(domain: Domain, blocks: Sequence[BasisBlock], nodes: int) -> float:
     """Largest relative contour integral of any basis function around any curve.
 
     The boundary Gram formula is only valid when every basis function has a
     single-valued primitive, i.e. zero period around every hole.  Monomials
     and inverse powers of order two and higher satisfy this identically; this
-    quadrature check guards the discretization.  Functions whose frequency
-    aliases to zero on a curve's node count are skipped on that curve (the
-    trapezoid rule folds those oscillations onto a spurious constant).  Bases
-    larger than 64 functions are checked on 64 drawn from a fixed seed.
+    quadrature check guards the discretization on the Gram's own ``nodes``
+    nodes per curve.  With ``_gram_nodes`` no period aliases: on a circle about
+    its centre a function of power m gives ``g gamma'`` the single frequency
+    m + 1 (monomial) or 1 - m (pole), nonzero and below the node count.
+    Bases larger than 64 functions are checked on 64 drawn from a fixed seed.
     """
     total = block_sizes(blocks)
     if total <= 64:
         indices = np.arange(total)
     else:
         indices = np.random.default_rng(0).choice(total, size=64, replace=False)
-    f = np.array([_frequency(blocks, int(i)) for i in indices])
     worst = 0.0
     for curve in domain.curves:
-        length = float(np.sum(curve.weights))
-        kept = indices[(f == 0) | (f % curve.nodes != 0)]
-        g = _rows(blocks, kept, curve.points, 0)
-        periods = np.sum(g * curve.complex_weights, axis=1)
+        c = curve if curve.nodes == nodes else curve.resample(nodes)
+        length = float(np.sum(c.weights))
+        g = _rows(blocks, indices, c.points, 0)
+        periods = np.sum(g * c.complex_weights, axis=1)
         scales = 1.0 + np.max(np.abs(g), axis=1) * length
         for period, scale in zip(periods, scales):
             worst = max(worst, abs(period) / scale)
@@ -642,7 +667,9 @@ def build_model(
     watched matrices from those rows, and ``history`` lists each built degree
     with its change against half that degree.  The dense route builds every
     degree and compares consecutive models, so its ``history`` starts with
-    the first degree and no change.  The degree stops at 2^17 on the
+    the first degree and no change; each of its builds sizes the quadrature
+    once with ``_gram_nodes``, for the Gram and its period check alike, and
+    ``meta["nodes"]`` records it.  The degree stops at 2^17 on the
     diagonal route and at 512 on the dense one, and the first comparison is
     against half the cap at most, so ``eps_model`` is finite.
     """
@@ -667,14 +694,15 @@ def build_model(
             spot_check_offdiagonal(domain, blocks, diag)
             fact = GramFactorization.from_diagonal(diag)
             residual = 0.0
-            periods = None
+            nodes = periods = None
         else:
-            gram, residual = gram_dense(domain, blocks)
+            nodes = _gram_nodes(domain, blocks)
+            gram, residual = gram_dense(domain, blocks, nodes)
             if residual > 1e-10:
                 raise QuadratureError(
                     f"boundary Gram asymmetric beyond roundoff: residual {residual:.2e}"
                 )
-            periods = zero_period_residual(domain, blocks)
+            periods = zero_period_residual(domain, blocks, nodes)
             if periods > 1e-8:
                 raise QuadratureError(
                     f"basis function with nonzero period around a hole: {periods:.2e}"
@@ -705,6 +733,7 @@ def build_model(
                     "eps_model": change if np.isfinite(change) else float("nan"),
                     "converged": bool(converged),
                     "history": [[d, c if np.isfinite(c) else None] for d, c in history],
+                    "nodes": nodes,
                     "gram_residual": residual,
                     "period_residual": periods,
                     "condition": fact.condition(),

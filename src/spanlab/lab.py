@@ -83,13 +83,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if len(self.steps) < 2:
-            raise ConfigError("need at least two depth steps")
+            raise ConfigError("steps: need at least two depth steps")
         if not all(0.0 < t < np.inf for t in self.steps):
-            raise ConfigError("depth steps must be positive and finite")
+            raise ConfigError("steps: depth steps must be positive and finite")
         if any(b >= a for a, b in zip(self.steps, self.steps[1:])):
-            raise ConfigError("depth steps must strictly decrease")
+            raise ConfigError("steps: depth steps must strictly decrease")
         if not self.orders or any(n < 1 for n in self.orders):
-            raise ConfigError("curvature orders must be a nonempty list of integers >= 1")
+            raise ConfigError("orders: curvature orders must be a nonempty list of integers >= 1")
 
 
 @dataclass

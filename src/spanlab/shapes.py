@@ -18,7 +18,9 @@ rotation), ``fourier`` (coefficients as {"k": [re, im]}), ``polygon``
 (vertices, smoothing >= 0, modes).  Each kind has one curve constructor here,
 and the defaults of optional keys live only in this reader.  A malformed value
 is reported as ``<where>: malformed value (...)``, with ``where`` the key's
-path, such as ``domain.outer.radius``.
+path, such as ``domain.outer.radius``, and a curve that its constructor
+refuses as ``<where>: <reason>``, such as ``domain.holes[0]: curve has no
+nonconstant Fourier mode``.
 """
 
 from __future__ import annotations
@@ -164,6 +166,14 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) ->
 
 
 def curve_from_dict(obj: dict, nodes: int, orientation: int, where: str) -> BoundaryCurve:
+    """The curve ``obj`` describes; a curve its constructor refuses is a ``ConfigError`` at ``where``."""
+    try:
+        return _read_curve(obj, nodes, orientation, where)
+    except DomainError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _read_curve(obj: dict, nodes: int, orientation: int, where: str) -> BoundaryCurve:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
     kind = obj.get("kind")

@@ -13,7 +13,7 @@ import pytest
 from oracles import dirichlet_inner, gram_area_circular, kernel_coefficients
 
 import spanlab as sl
-from spanlab.dirichlet import build_blocks, evaluate_blocks, gram_dense
+from spanlab.dirichlet import _gram_nodes, build_blocks, evaluate_blocks, gram_dense
 
 # the dyadic depth schedule 0.128 * 2^-j, j = 0..7, ends exactly at t = 1e-3
 DEPTHS = tuple(0.128 * 0.5**j for j in range(8))
@@ -164,7 +164,7 @@ def test_criterion_8_property_suite(disk_domain, annulus_domain, annulus_model):
 
     # Gram Hermitian positive definite (dense boundary quadrature route)
     blocks = build_blocks(annulus_domain, 16)
-    gram, residual = gram_dense(annulus_domain, blocks)
+    gram, residual = gram_dense(annulus_domain, blocks, _gram_nodes(annulus_domain, blocks))
     eigs = np.linalg.eigvalsh(gram)
     checks["gram Hermitian-PD"] = residual <= 1e-10 and eigs.min() > 0
 
@@ -230,7 +230,7 @@ def test_criterion_8_property_suite(disk_domain, annulus_domain, annulus_model):
 
     # boundary-integral vs area-quadrature Gram on the disk
     disk_blocks = build_blocks(disk_domain, 12)
-    g_boundary, _ = gram_dense(disk_domain, disk_blocks)
+    g_boundary, _ = gram_dense(disk_domain, disk_blocks, _gram_nodes(disk_domain, disk_blocks))
     g_area = gram_area_circular(disk_domain, disk_blocks, radial_nodes=400)
     rel = float(np.max(np.abs(g_boundary - g_area)) / np.max(np.abs(g_boundary)))
     checks["boundary vs area Gram"] = rel <= 1e-10

@@ -89,7 +89,18 @@ def test_validate_domain(domain_file, capsys):
     assert main(["validate", domain_file]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
-    assert "route=diagonal" in out
+    assert "route=diagonal" in out and "nodes=None" in out
+
+
+def test_validate_prints_the_gram_nodes(tmp_path, capsys):
+    # |z| < 1 minus B(0.2, 0.4) builds at degree 256: 512 functions, and
+    # 2 * 257 + 64 nodes from the highest power, not 2 * 512 + 64.
+    path = tmp_path / "eccentric.json"
+    hole = {"kind": "circle", "center": [0.2, 0.0], "radius": 0.4}
+    path.write_text(json.dumps({"outer": DOMAIN["outer"], "holes": [hole], "anchors": [[0.2, 0.0]]}))
+    assert main(["validate", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "model: route=dense degree=256 size=512 " in out and " nodes=578\n" in out
 
 
 def test_validate_run_config(run_file, capsys):
@@ -161,6 +172,33 @@ def test_run_rejects_unknown_keys(tmp_path, capsys):
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"{where}: malformed value" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"steps": [0.1]}, "steps: need at least two depth steps"),
+        ({"steps": [0.1, 0.2]}, "steps: depth steps must strictly decrease"),
+        ({"orders": []}, "orders: curvature orders must be a nonempty list"),
+        ({"domain": {"outer": {"kind": "polygon", "vertices": [[1, -1], [1, 1], [-1, 1]], "modes": 0}}},
+         "domain.outer: curve has no nonconstant Fourier mode"),
+        ({"domain": {"outer": {"kind": "polygon", "vertices": [[1, -1], [1, 1], [-1, 1]], "smoothing": 1e6}}},
+         "domain.outer: curve has no nonconstant Fourier mode"),
+        ({"domain": {**DOMAIN, "holes": [{"kind": "fourier", "coefficients": {"0": [0, 0]}}]}},
+         "domain.holes[0]: curve has no nonconstant Fourier mode"),
+    ],
+    ids=["one-step", "increasing", "no-orders", "polygon-modes", "polygon-smoothing", "hole"],
+)
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_refused_values_name_where_they_are(run_file, command, change, message, capsys):
+    path = Path(run_file)
+    config = json.loads(path.read_text())
+    config.update(change)
+    path.write_text(json.dumps(config))
+    assert main([command, run_file]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert "[PASS]" not in out
 
 
 def test_run_rejects_invalid_json(tmp_path, capsys):

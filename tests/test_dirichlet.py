@@ -24,6 +24,7 @@ from spanlab.dirichlet import (
     _FLUSH,
     _binary_powers,
     _flush_tiny,
+    _gram_nodes,
     _ladder_rows,
     _power_ladder,
     _rows,
@@ -75,7 +76,7 @@ def test_dirichlet_inner_flags_nonconvergence(disk_domain):
 
 def test_disk_gram_is_pi_over_m_plus_one(disk_domain):
     blocks = sl.build_blocks(disk_domain, 6)
-    gram, residual = sl.gram_dense(disk_domain, blocks)
+    gram, residual = sl.gram_dense(disk_domain, blocks, _gram_nodes(disk_domain, blocks))
     assert residual < 1e-12
     expected = np.diag([np.pi / (m + 1) for m in range(6)])
     assert np.max(np.abs(gram - expected)) < 1e-12
@@ -86,7 +87,7 @@ def test_annulus_hole_norms_closed_form(annulus_domain):
     # after the sigma = rho normalization used by the block.
     rho = 0.5
     blocks = sl.build_blocks(annulus_domain, 4)
-    gram, _ = sl.gram_dense(annulus_domain, blocks)
+    gram, _ = sl.gram_dense(annulus_domain, blocks, _gram_nodes(annulus_domain, blocks))
     for i, m in enumerate(range(2, 6)):
         expected = np.pi * (rho**2 - rho ** (2 * m)) / (m - 1)
         assert abs(gram[4 + i, 4 + i] - expected) < 1e-12
@@ -94,7 +95,7 @@ def test_annulus_hole_norms_closed_form(annulus_domain):
 
 def test_boundary_gram_matches_area_gram_on_disk(disk_domain):
     blocks = sl.build_blocks(disk_domain, 8)
-    boundary, _ = sl.gram_dense(disk_domain, blocks)
+    boundary, _ = sl.gram_dense(disk_domain, blocks, _gram_nodes(disk_domain, blocks))
     area = gram_area_circular(disk_domain, blocks)
     scale = np.sqrt(np.outer(np.diag(boundary).real, np.diag(boundary).real))
     assert np.max(np.abs(boundary - area) / scale) < 1e-10
@@ -102,7 +103,7 @@ def test_boundary_gram_matches_area_gram_on_disk(disk_domain):
 
 def test_boundary_gram_matches_area_gram_on_annulus(annulus_domain):
     blocks = sl.build_blocks(annulus_domain, 6)
-    boundary, _ = sl.gram_dense(annulus_domain, blocks)
+    boundary, _ = sl.gram_dense(annulus_domain, blocks, _gram_nodes(annulus_domain, blocks))
     area = gram_area_circular(annulus_domain, blocks, radial_nodes=400)
     scale = np.sqrt(np.outer(np.diag(boundary).real, np.diag(boundary).real))
     assert np.max(np.abs(boundary - area) / scale) < 1e-10
@@ -110,7 +111,7 @@ def test_boundary_gram_matches_area_gram_on_annulus(annulus_domain):
 
 def test_diagonal_route_matches_dense_route(annulus_domain):
     blocks = sl.build_blocks(annulus_domain, 12)
-    dense, _ = sl.gram_dense(annulus_domain, blocks)
+    dense, _ = sl.gram_dense(annulus_domain, blocks, _gram_nodes(annulus_domain, blocks))
     diag = sl.gram_diagonal(annulus_domain, blocks)
     assert np.max(np.abs(np.diag(dense).real - diag) / diag) < 1e-12
     off = dense - np.diag(np.diag(dense))
@@ -153,8 +154,8 @@ def test_gram_dense_flush_keeps_the_gram():
     )
     blocks = sl.build_blocks(dom, 256)
     n = block_sizes(blocks)
-    nodes = max(2 * n + 64, max(c.nodes for c in dom.curves))
-    gram, _ = sl.gram_dense(dom, blocks)
+    nodes = _gram_nodes(dom, blocks)
+    gram, _ = sl.gram_dense(dom, blocks, nodes)
     reference = np.zeros((n, n), dtype=complex)
     below = 0
     for curve in dom.curves:
@@ -173,6 +174,53 @@ def test_gram_dense_flush_keeps_the_gram():
     perm_ref, L_ref, _ = pivoted_cholesky(reference)
     assert L.shape[1] == L_ref.shape[1]
     assert np.array_equal(perm, perm_ref)
+
+
+def _unit_disk_minus(*holes):
+    return sl.Domain(
+        outer=sl.shapes.circle_curve(0.0, 1.0),
+        holes=[sl.shapes.circle_curve(c, r, orientation=-1) for c, r in holes],
+        anchors=[c for c, _ in holes],
+    )
+
+
+@pytest.mark.parametrize(
+    "holes",
+    [
+        [(0.2, 0.4)],
+        [(0.2, 0.1)],
+        [(0.55, 0.3)],
+        [(0.5, 0.1), (-0.4 + 0.3j, 0.15)],
+    ],
+    ids=["B(0.2,0.4)", "B(0.2,0.1)", "B(0.55,0.3)", "two-holes"],
+)
+def test_gram_nodes_follow_the_highest_power_not_the_basis_size(holes):
+    # Each entry pairs two functions of power <= p, so 2p + 64 nodes resolve
+    # it whatever the number of blocks; 2n + 64 gives the same Gram.
+    dom = _unit_disk_minus(*holes)
+    blocks = sl.build_blocks(dom, 256)
+    n = block_sizes(blocks)
+    nodes = _gram_nodes(dom, blocks)
+    assert nodes == 2 * 257 + 64 < 2 * n + 64
+    gram, _ = sl.gram_dense(dom, blocks, nodes)
+    wide, _ = sl.gram_dense(dom, blocks, 2 * n + 64)
+    d = np.sqrt(np.diag(wide).real)
+    assert np.max(np.abs(gram - wide) / np.outer(d, d)) < 1e-12
+
+
+@pytest.mark.parametrize("degree", [16, 256, 512])
+def test_gram_nodes_unchanged_on_a_simply_connected_domain(degree):
+    # One monomial block: p = n = degree, so the count is the size rule's,
+    # and with it every Gram entry and model output, bit for bit.
+    dom = sl.ellipse(semi_axes=(1.0, 0.6))
+    blocks = sl.build_blocks(dom, degree)
+    assert _gram_nodes(dom, blocks) == max(2 * block_sizes(blocks) + 64, dom.outer.nodes)
+
+
+def test_build_model_records_the_gram_nodes(ellipse_model, annulus_model):
+    blocks = sl.build_blocks(ellipse_model.domain, ellipse_model.meta["degree"])
+    assert ellipse_model.meta["nodes"] == _gram_nodes(ellipse_model.domain, blocks)
+    assert annulus_model.meta["nodes"] is None  # closed-form Gram, no quadrature
 
 
 _parts = st.one_of(
@@ -394,7 +442,23 @@ def test_gram_diagonal_closed_form_at_high_degree(domain):
 
 def test_zero_periods_on_annulus(annulus_domain):
     blocks = sl.build_blocks(annulus_domain, 8)
-    assert sl.zero_period_residual(annulus_domain, blocks) < 1e-12
+    assert sl.zero_period_residual(annulus_domain, blocks, _gram_nodes(annulus_domain, blocks)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["monomial", "pole"])
+def test_period_check_does_not_alias(kind):
+    # On a circle about its centre, z^m gives g gamma' the frequency m + 1 and
+    # a pole of power m the frequency 1 - m.  At m = N - 1 (monomial) or
+    # N + 1 (pole) that is a multiple of the circle's N nodes, and the
+    # trapezoid rule folds it onto a constant; the Gram's nodes do not.
+    curve_nodes = 512
+    dom = sl.annulus(0.5, nodes=curve_nodes)
+    if kind == "monomial":
+        block = sl.BasisBlock("monomial", 0j, 1.0, curve_nodes - 1, 1)
+    else:
+        block = sl.BasisBlock("pole", 0j, 0.5, curve_nodes + 1, 1)
+    assert sl.zero_period_residual(dom, [block], curve_nodes) > 0.5
+    assert sl.zero_period_residual(dom, [block], _gram_nodes(dom, [block])) < 1e-14
 
 
 @pytest.mark.parametrize("order", [0, -1])
