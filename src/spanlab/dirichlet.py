@@ -229,11 +229,17 @@ def _flush_tiny(a: np.ndarray) -> np.ndarray:
 def _gram_nodes(domain: Domain, blocks: Sequence[BasisBlock]) -> int:
     """Node count of ``gram_dense``: ``max(2p + 64, max curve.nodes)``.
 
-    ``p`` is the highest power that any value or primitive reaches: the end
-    of the range for a monomial block (its primitives gain a power) and one
-    below it for a pole block (its primitives lose one).  See ``gram_dense``.
+    When every hole is a circle about its anchor, ``p`` is the highest power
+    that any value or primitive reaches: the end of the range for a monomial
+    block (its primitives gain a power) and one below it for a pole block
+    (its primitives lose one).  Otherwise ``p`` is the basis size.  See
+    ``gram_dense``.
     """
-    p = max(b.start + b.count - (b.kind == "pole") for b in blocks)
+    circles = [hole.circle_data() for hole in domain.holes]
+    if all(c is not None and abs(c[0] - a) <= 1e-12 * c[1] for c, a in zip(circles, domain.anchors)):
+        p = max(b.start + b.count - (b.kind == "pole") for b in blocks)
+    else:
+        p = block_sizes(blocks)
     return max(2 * p + 64, max(c.nodes for c in domain.curves))
 
 
@@ -243,17 +249,24 @@ def gram_dense(
     """Full Gram matrix by boundary quadrature on ``nodes`` nodes per curve.
 
     Returns (matrix, hermitian residual).  ``build_model`` passes
-    ``_gram_nodes``, ``max(2p + 64, max curve.nodes)`` with ``p`` the highest
-    power of any value or primitive.  The trapezoid rule on N equispaced
-    nodes is exact for trigonometric polynomials of degree < N (Trefethen and
-    Weideman, SIAM Review 56, 2014).  Each entry pairs two functions only, and
-    on a circle about a block's own centre its values and primitives are
-    single Fourier modes of degree at most p, so the integrand
-    ``g_j conj(G_k) gamma'`` has degree at most 2p + 1 < N there.  On the
-    other curves the functions are analytic across the curve and their
-    coefficients decay geometrically; the 64 spare nodes and the curves' own
-    node counts cover that.  The total basis size never enters one product's
-    bandwidth, so the count does not grow with the number of holes.
+    ``_gram_nodes``, ``max(2p + 64, max curve.nodes)``.  The trapezoid rule on
+    N equispaced nodes is exact for trigonometric polynomials of degree < N
+    (Trefethen and Weideman, SIAM Review 56, 2014), and each entry pairs two
+    functions only.  On a circle, a monomial of power m is a trigonometric
+    polynomial of degree m.  On a circle about a pole block's centre, its
+    values and primitives are single Fourier modes of degree at most p.  So
+    when every hole is a circle about its anchor, the integrand
+    ``g_j conj(G_k) gamma'`` has degree at most 2p + 1 < N on the holes, and
+    ``p`` is the highest power, whatever the number of holes.  On the other
+    curves a pole block's functions are analytic across the curve and
+    bounded by ``(sigma / dist)^m``, so their coefficients decay
+    geometrically; the 64 spare nodes and the curves' own node counts cover
+    that.  A monomial on a non-circular outer curve has the bandwidth it has
+    on a simply connected domain, where p is the basis size.  Off a circle
+    about its anchor, ``(sigma / (z - a))^m`` oscillates up to
+    ``m max|gamma'| / |gamma - a|`` per unit parameter, which is above m
+    (twice it for an ellipse of axis ratio 2, or for an anchor halfway to
+    the rim), so there ``p`` stays the basis size.
 
     Real and imaginary parts below ``sqrt(tiny)`` ~ 1.5e-154 of the weighted
     values and of the primitives are zeroed before the product, which keeps it
@@ -379,16 +392,16 @@ def spot_check_offdiagonal(domain: Domain, blocks: Sequence[BasisBlock], diag: n
     return worst
 
 
-def zero_period_residual(domain: Domain, blocks: Sequence[BasisBlock], nodes: int) -> float:
+def zero_period_residual(domain: Domain, blocks: Sequence[BasisBlock]) -> float:
     """Largest relative contour integral of any basis function around any curve.
 
     The boundary Gram formula is only valid when every basis function has a
     single-valued primitive, i.e. zero period around every hole.  Monomials
     and inverse powers of order two and higher satisfy this identically; this
-    quadrature check guards the discretization on the Gram's own ``nodes``
-    nodes per curve.  With ``_gram_nodes`` no period aliases: on a circle about
-    its centre a function of power m gives ``g gamma'`` the single frequency
-    m + 1 (monomial) or 1 - m (pole), nonzero and below the node count.
+    quadrature check guards the discretization on the Gram's own nodes,
+    ``_gram_nodes``.  There no period aliases: on a circle about its centre a
+    function of power m gives ``g gamma'`` the single frequency m + 1
+    (monomial) or 1 - m (pole), nonzero and below the node count.
     Bases larger than 64 functions are checked on 64 drawn from a fixed seed.
     """
     total = block_sizes(blocks)
@@ -396,6 +409,7 @@ def zero_period_residual(domain: Domain, blocks: Sequence[BasisBlock], nodes: in
         indices = np.arange(total)
     else:
         indices = np.random.default_rng(0).choice(total, size=64, replace=False)
+    nodes = _gram_nodes(domain, blocks)
     worst = 0.0
     for curve in domain.curves:
         c = curve if curve.nodes == nodes else curve.resample(nodes)
@@ -667,11 +681,11 @@ def build_model(
     watched matrices from those rows, and ``history`` lists each built degree
     with its change against half that degree.  The dense route builds every
     degree and compares consecutive models, so its ``history`` starts with
-    the first degree and no change; each of its builds sizes the quadrature
-    once with ``_gram_nodes``, for the Gram and its period check alike, and
-    ``meta["nodes"]`` records it.  The degree stops at 2^17 on the
-    diagonal route and at 512 on the dense one, and the first comparison is
-    against half the cap at most, so ``eps_model`` is finite.
+    the first degree and no change; its Gram and period check both use
+    ``_gram_nodes`` nodes per curve, and ``meta["nodes"]`` records the count.
+    The degree stops at 2^17 on the diagonal route and at 512 on the dense
+    one, and the first comparison is against half the cap at most, so
+    ``eps_model`` is finite.
     """
     if not 0.0 < tol < np.inf:
         raise ConfigError(f"tol must be positive and finite, got {tol!r}")
@@ -702,7 +716,7 @@ def build_model(
                 raise QuadratureError(
                     f"boundary Gram asymmetric beyond roundoff: residual {residual:.2e}"
                 )
-            periods = zero_period_residual(domain, blocks, nodes)
+            periods = zero_period_residual(domain, blocks)
             if periods > 1e-8:
                 raise QuadratureError(
                     f"basis function with nonzero period around a hole: {periods:.2e}"
