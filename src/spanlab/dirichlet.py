@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domains import Domain, rotation_center
+from .domains import BoundaryCurve, Domain, rotation_center
 from .errors import ConfigError, DomainError, QuadratureError
 from .linalg import hermitize, pivoted_cholesky, whiten_cholesky
 
@@ -211,6 +211,12 @@ def block_sizes(blocks: Sequence[BasisBlock]) -> int:
     return int(sum(b.count for b in blocks))
 
 
+def _spans(blocks: Sequence[BasisBlock]) -> list[slice]:
+    """Rows of each block in ``evaluate_blocks(blocks, ...)``."""
+    stops = np.cumsum([b.count for b in blocks])
+    return [slice(int(stop) - b.count, int(stop)) for b, stop in zip(blocks, stops)]
+
+
 # -- Gram assembly ----------------------------------------------------------
 
 
@@ -226,21 +232,67 @@ def _flush_tiny(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _circle_about(curve: BoundaryCurve, point: complex) -> bool:
+    """Whether ``curve`` is a circle whose centre is within 1e-12 of its radius of ``point``."""
+    circle = curve.circle_data()
+    return circle is not None and abs(circle[0] - point) <= 1e-12 * circle[1]
+
+
 def _gram_nodes(domain: Domain, blocks: Sequence[BasisBlock]) -> int:
     """Node count of ``gram_dense``: ``max(2p + 64, max curve.nodes)``.
 
-    When every hole is a circle about its anchor, ``p`` is the highest power
-    that any value or primitive reaches: the end of the range for a monomial
-    block (its primitives gain a power) and one below it for a pole block
-    (its primitives lose one).  Otherwise ``p`` is the basis size.  See
-    ``gram_dense``.
+    The trapezoid rule on N equispaced nodes is exact for trigonometric
+    polynomials of degree < N (Trefethen and Weideman, SIAM Review 56, 2014),
+    and each Gram entry pairs two functions only.  On a circle, a monomial of
+    power m is a trigonometric polynomial of degree m.  On a circle about a
+    pole block's centre, its values and primitives are single Fourier modes.
+    So when every hole is a circle about its anchor, ``p`` is the highest
+    power that any value or primitive reaches: the end of the range for a
+    monomial block (its primitives gain a power) and one below it for a pole
+    block (its primitives lose one).  The integrand ``g_j conj(G_k) gamma'``
+    then has degree at most 2p + 1 < N on the holes, whatever the number of
+    holes.  On the other curves a pole block's functions are analytic across
+    the curve and bounded by ``(sigma / dist)^m``, so their coefficients
+    decay geometrically; the 64 spare nodes and the curves' own node counts
+    cover that.  A monomial on a non-circular outer curve has the bandwidth
+    it has on a simply connected domain, where p is the basis size.  Off a
+    circle about its anchor, ``(sigma / (z - a))^m`` oscillates up to
+    ``m max|gamma'| / |gamma - a|`` per unit parameter, which is above m
+    (twice it for an ellipse of axis ratio 2, or for an anchor halfway to
+    the rim), so there ``p`` is the basis size.  ``2p + 64`` is rounded up
+    to a multiple of 64, which keeps the FFTs of ``gram_dense`` off large
+    prime lengths (2p + 64 = 1090 = 2 * 5 * 109 at degree 512); more nodes
+    never loosen the quadrature.
     """
-    circles = [hole.circle_data() for hole in domain.holes]
-    if all(c is not None and abs(c[0] - a) <= 1e-12 * c[1] for c, a in zip(circles, domain.anchors)):
+    if all(_circle_about(hole, a) for hole, a in zip(domain.holes, domain.anchors)):
         p = max(b.start + b.count - (b.kind == "pole") for b in blocks)
     else:
         p = block_sizes(blocks)
-    return max(2 * p + 64, max(c.nodes for c in domain.curves))
+    return max(64 * ((2 * p + 127) // 64), max(c.nodes for c in domain.curves))
+
+
+def _modal_rows(block: BasisBlock, curve: BoundaryCurve) -> tuple[np.ndarray, ...]:
+    """Closed forms of ``block``'s rows on ``curve``, a circle about the block's centre.
+
+    The curve is ``gamma(t) = c + w e^{i s t}`` with ``s = +-1`` its
+    orientation.  Let ``u = w / scale`` and ``e = 1`` for a monomial block,
+    ``u = scale / w`` and ``e = -1`` for a pole block.  On the node
+    ``t_n = 2 pi n / N`` the value of power m times the weight
+    ``(2 pi / N) gamma'(t_n)`` is ``alpha_m e^{i f_m t_n}`` with
+    ``alpha_m = (2 pi i s w / N) u^m``, and the primitive is
+    ``beta_m e^{i f_m t_n}`` with ``beta_m = scale u^(m + e) / (e (m + e))``.
+    Both share the one frequency ``f_m = s (e m + 1)``.  Returns
+    ``(alpha, f, beta)``.
+    """
+    orientation = curve.circle_data()[2]
+    w = complex(curve.coefficients[curve.wavenumbers == orientation][0])
+    e = 1 if block.kind == "monomial" else -1
+    u = np.array([w / block.scale if e == 1 else block.scale / w])
+    powers = block.powers
+    weight = 2j * np.pi * orientation * w / curve.nodes
+    alpha = weight * _power_ladder(u, block.start, block.count)[:, 0]
+    beta = block.scale / (e * (powers + e)) * _power_ladder(u, block.start + e, block.count)[:, 0]
+    return alpha, orientation * (e * powers + 1), beta
 
 
 def gram_dense(
@@ -249,40 +301,80 @@ def gram_dense(
     """Full Gram matrix by boundary quadrature on ``nodes`` nodes per curve.
 
     Returns (matrix, hermitian residual).  ``build_model`` passes
-    ``_gram_nodes``, ``max(2p + 64, max curve.nodes)``.  The trapezoid rule on
-    N equispaced nodes is exact for trigonometric polynomials of degree < N
-    (Trefethen and Weideman, SIAM Review 56, 2014), and each entry pairs two
-    functions only.  On a circle, a monomial of power m is a trigonometric
-    polynomial of degree m.  On a circle about a pole block's centre, its
-    values and primitives are single Fourier modes of degree at most p.  So
-    when every hole is a circle about its anchor, the integrand
-    ``g_j conj(G_k) gamma'`` has degree at most 2p + 1 < N on the holes, and
-    ``p`` is the highest power, whatever the number of holes.  On the other
-    curves a pole block's functions are analytic across the curve and
-    bounded by ``(sigma / dist)^m``, so their coefficients decay
-    geometrically; the 64 spare nodes and the curves' own node counts cover
-    that.  A monomial on a non-circular outer curve has the bandwidth it has
-    on a simply connected domain, where p is the basis size.  Off a circle
-    about its anchor, ``(sigma / (z - a))^m`` oscillates up to
-    ``m max|gamma'| / |gamma - a|`` per unit parameter, which is above m
-    (twice it for an ellipse of axis ratio 2, or for an anchor halfway to
-    the rim), so there ``p`` stays the basis size.
+    ``_gram_nodes``, which says why that many nodes resolve every entry.
+
+    Each curve's sum is taken in three parts.  A block is *modal* on a curve
+    that is a circle about the block's centre (``_circle_about``): the
+    monomial block on a circular outer curve, a pole block on its own hole
+    when that is a circle about the anchor.  There each weighted value and
+    each primitive is one Fourier mode, ``alpha e^{i f t}`` and
+    ``beta e^{i f t}`` (``_modal_rows``), so
+
+    * a modal-by-modal entry is ``N alpha_j conj(beta_k) / 2i`` where
+      ``f_j = f_k``, and zero elsewhere;
+    * a modal-by-sampled entry is one DFT coefficient of the sampled
+      primitive (or weighted value) row, at ``-f_j`` (or ``f_k``): one
+      ``numpy.fft.fft`` of each sampled row, taken in place, gives them all;
+    * only sampled-by-sampled entries are a matrix product.
+
+    The upper and lower triangles still come from separate sums, so the
+    Hermitian residual keeps measuring the quadrature.  On a curve with no
+    modal block the sum is one product of all the rows.  The closed forms
+    take the block's centre to be the circle's; a centre off by ``delta``
+    moves a modal entry by about ``m delta / r`` relative, at most 5e-10 at
+    power 513 under the 1e-12 of ``_circle_about``, and 0 where the anchor
+    is the number that gives the circle's centre.
 
     Real and imaginary parts below ``sqrt(tiny)`` ~ 1.5e-154 of the weighted
-    values and of the primitives are zeroed before the product, which keeps it
-    out of slow subnormal arithmetic.  That moves an entry by about 1e-150 at
-    most on a unit-sized domain: below one ulp of the diagonal, whose entries
-    are squared norms of ~1e-4 or more at the degrees the dense route uses.
+    values, of the primitives and of the closed forms are zeroed first, which
+    keeps the product out of slow subnormal arithmetic.  That moves an entry
+    by about 1e-150 at most on a unit-sized domain: below one ulp of the
+    diagonal, whose entries are squared norms of ~1e-4 or more at the
+    degrees the dense route uses.
     """
     n = block_sizes(blocks)
     gram = np.zeros((n, n), dtype=complex)
+    spans = _spans(blocks)
     for curve in domain.curves:
         c = curve if curve.nodes == nodes else curve.resample(nodes)
-        values = evaluate_blocks(blocks, c.points, 0)
+        modal = {}
+        for q, block in enumerate(blocks):
+            if _circle_about(c, block.center):
+                alpha, f, beta = _modal_rows(block, c)
+                modal[q] = (_flush_tiny(alpha), f, _flush_tiny(beta))
+        for a, (alpha, f, _) in modal.items():
+            for b, (_, g, beta) in modal.items():
+                _, ia, ib = np.intersect1d(f, g, assume_unique=True, return_indices=True)
+                entries = nodes * alpha[ia] * beta[ib].conj() / 2j
+                gram[spans[a].start + ia, spans[b].start + ib] += entries
+        sampled = [q for q in range(len(blocks)) if q not in modal]
+        if not sampled:
+            continue
+        part = [blocks[q] for q in sampled]
+        rows = _spans(part)
+        values = evaluate_blocks(part, c.points, 0)
         values *= c.complex_weights
-        primitives = evaluate_blocks(blocks, c.points, -1)
+        primitives = evaluate_blocks(part, c.points, -1)
         np.conj(primitives, out=primitives)
-        gram += _flush_tiny(values) @ _flush_tiny(primitives).T / 2j
+        product = _flush_tiny(values) @ _flush_tiny(primitives).T
+        product /= 2j
+        for j, rj in zip(sampled, rows):
+            for k, rk in zip(sampled, rows):
+                gram[spans[j], spans[k]] += product[rj, rk]
+        if not modal:
+            continue
+        del product
+        # sum_n e^{i f t_n} x_n is coefficient -f mod N of fft(x)
+        np.fft.fft(values, axis=1, out=values)
+        np.fft.fft(primitives, axis=1, out=primitives)
+        for a, (alpha, f, beta) in modal.items():
+            for k, rk in zip(sampled, rows):
+                upper = primitives[rk, -f % nodes]
+                upper *= alpha / 2j
+                gram[spans[a], spans[k]] += upper.T
+                lower = values[rk, f % nodes]
+                lower *= beta.conj() / 2j
+                gram[spans[k], spans[a]] += lower
     return hermitize(gram)
 
 

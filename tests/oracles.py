@@ -5,6 +5,9 @@ can hold the package's result against it:
 
 * ``gram_area_circular``: the Gram matrix by polar area quadrature, against
   the boundary (Stokes) route of ``gram_dense`` and ``gram_diagonal``;
+* ``gram_dense_product``: the boundary Gram as one matrix product of every
+  sampled row, against the closed forms and FFTs that ``gram_dense`` takes
+  on circles about a block's centre;
 * ``dirichlet_inner``: one Dirichlet inner product by boundary quadrature at
   two node counts, for the reproducing identity of a model's kernel;
 * ``inverted_domain`` and ``MobiusMap``: the inversion that turns a hole
@@ -26,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from spanlab.dirichlet import BasisBlock, KernelModel, block_sizes, evaluate_blocks
+from spanlab.dirichlet import BasisBlock, KernelModel, _flush_tiny, block_sizes, evaluate_blocks
 from spanlab.domains import BoundaryCurve, Domain, rotation_center
 from spanlab.errors import ConfigError, DomainError, QuadratureError
 from spanlab.reference import LensMetric
@@ -59,6 +62,26 @@ def gram_area_circular(
     values = evaluate_blocks(blocks, grid, 0)
     gram = (values * weights) @ values.conj().T
     return hermitize(gram)[0]
+
+
+def gram_dense_product(
+    domain: Domain, blocks: Sequence[BasisBlock], nodes: int
+) -> tuple[np.ndarray, float]:
+    """(Gram matrix, hermitian residual) from ``nodes`` sampled nodes per curve.
+
+    Every basis function is sampled on every curve, and each curve adds one
+    product of the flushed weighted values and conjugate primitives.
+    """
+    n = block_sizes(blocks)
+    gram = np.zeros((n, n), dtype=complex)
+    for curve in domain.curves:
+        c = curve if curve.nodes == nodes else curve.resample(nodes)
+        values = evaluate_blocks(blocks, c.points, 0)
+        values *= c.complex_weights
+        primitives = evaluate_blocks(blocks, c.points, -1)
+        np.conj(primitives, out=primitives)
+        gram += _flush_tiny(values) @ _flush_tiny(primitives).T / 2j
+    return hermitize(gram)
 
 
 def dirichlet_inner(domain: Domain, f, g_primitive, nodes: int = 1024) -> complex:

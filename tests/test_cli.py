@@ -94,13 +94,14 @@ def test_validate_domain(domain_file, capsys):
 
 def test_validate_prints_the_gram_nodes(tmp_path, capsys):
     # |z| < 1 minus B(0.2, 0.4) builds at degree 256: 512 functions, and
-    # 2 * 257 + 64 nodes from the highest power, not 2 * 512 + 64.
+    # 2 * 257 + 64 = 578 nodes from the highest power, not 2 * 512 + 64,
+    # rounded up to 640, a multiple of 64.
     path = tmp_path / "eccentric.json"
     hole = {"kind": "circle", "center": [0.2, 0.0], "radius": 0.4}
     path.write_text(json.dumps({"outer": DOMAIN["outer"], "holes": [hole], "anchors": [[0.2, 0.0]]}))
     assert main(["validate", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "model: route=dense degree=256 size=512 " in out and " nodes=578\n" in out
+    assert "model: route=dense degree=256 size=512 " in out and " nodes=640\n" in out
 
 
 def test_validate_run_config(run_file, capsys):

@@ -16,7 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import dirichlet_inner, gram_area_circular, inverted_domain, kernel_coefficients
+from oracles import (
+    dirichlet_inner,
+    gram_area_circular,
+    gram_dense_product,
+    inverted_domain,
+    kernel_coefficients,
+)
 
 import spanlab as sl
 from spanlab import dirichlet
@@ -31,7 +37,7 @@ from spanlab.dirichlet import (
     block_sizes,
     evaluate_blocks,
 )
-from spanlab.linalg import hermitize, pivoted_cholesky
+from spanlab.linalg import pivoted_cholesky
 
 interior_disk = st.tuples(st.floats(0.05, 0.8), st.floats(0.0, 2 * np.pi)).map(
     lambda rt: rt[0] * np.exp(1j * rt[1])
@@ -142,7 +148,7 @@ def test_diagonal_route_matches_annulus_image_series(base, inward):
             assert abs(got[n] / want[n] - 1.0) <= 1e-12, (t, n)
 
 
-def test_gram_dense_flush_keeps_the_gram():
+def test_gram_dense_flush_keeps_the_gram(monkeypatch):
     # Seen from the outer circle the pole base is at most 0.1/0.8 = 0.125, so
     # high powers fall far below the flush threshold.
     dom = sl.domain_from_dict(
@@ -153,10 +159,8 @@ def test_gram_dense_flush_keeps_the_gram():
         }
     )
     blocks = sl.build_blocks(dom, 256)
-    n = block_sizes(blocks)
     nodes = _gram_nodes(dom, blocks)
     gram, _ = sl.gram_dense(dom, blocks, nodes)
-    reference = np.zeros((n, n), dtype=complex)
     below = 0
     for curve in dom.curves:
         c = curve if curve.nodes == nodes else curve.resample(nodes)
@@ -165,8 +169,9 @@ def test_gram_dense_flush_keeps_the_gram():
         for a in (weighted, primitives):
             parts = a.view(float)
             below += np.count_nonzero((parts != 0.0) & (np.abs(parts) < _FLUSH))
-        reference += weighted @ primitives.conj().T / 2j
-    reference, _ = hermitize(reference)
+    # the same route, unflushed
+    monkeypatch.setattr(dirichlet, "_flush_tiny", lambda a: a)
+    reference, _ = sl.gram_dense(dom, blocks, nodes)
     assert below > 0
     d = np.sqrt(np.diag(reference).real)
     assert np.max(np.abs(gram - reference) / np.outer(d, d)) < 1e-100
@@ -202,12 +207,13 @@ def test_gram_nodes_follow_the_highest_power_not_the_basis_size(holes, anchors, 
     # power <= p, so 2p + 64 nodes resolve it whatever the number of blocks.
     # Off that case a pole of power p oscillates up to twice as fast on these
     # holes (2p + 64 nodes misread the Gram by 0.05 to 2.8), and the count
-    # stays 2n + 64.  Either way the Gram is the one at 2n + 64.
+    # stays 2n + 64.  Either way the count is rounded up to a multiple of 64
+    # (2 * 257 + 64 = 578 becomes 640), and the Gram is the one at 2n + 64.
     dom = sl.domain_from_dict({"outer": _circle(0, 0, 1.0), "holes": holes, "anchors": anchors})
     blocks = sl.build_blocks(dom, 256)
     n = block_sizes(blocks)
     nodes = _gram_nodes(dom, blocks)
-    assert nodes == (2 * 257 + 64 if shrinks else 2 * n + 64)
+    assert nodes == (640 if shrinks else 2 * n + 64)
     gram, _ = sl.gram_dense(dom, blocks, nodes)
     wide, _ = sl.gram_dense(dom, blocks, 2 * n + 64)
     d = np.sqrt(np.diag(wide).real)
@@ -227,6 +233,105 @@ def test_build_model_records_the_gram_nodes(ellipse_model, annulus_model):
     blocks = sl.build_blocks(ellipse_model.domain, ellipse_model.meta["degree"])
     assert ellipse_model.meta["nodes"] == _gram_nodes(ellipse_model.domain, blocks)
     assert annulus_model.meta["nodes"] is None  # closed-form Gram, no quadrature
+
+
+_SPLIT_CASES = {
+    "B(0.2,0.4)-256": ([_circle(0.2, 0, 0.4)], [[0.2, 0]], _circle(0, 0, 1.0), 256),
+    "B(0.2,0.4)-512": ([_circle(0.2, 0, 0.4)], [[0.2, 0]], _circle(0, 0, 1.0), 512),
+    "centred-and-eccentric": (
+        [_circle(0, 0, 0.2), _circle(0.6, 0, 0.15)],
+        [[0, 0], [0.6, 0]],
+        _circle(0, 0, 1.0),
+        256,
+    ),
+    "three-holes": (
+        [_circle(0.5, 0, 0.1), _circle(-0.4, 0.3, 0.15), _circle(-0.2, -0.5, 0.2)],
+        [[0.5, 0], [-0.4, 0.3], [-0.2, -0.5]],
+        _circle(0, 0, 1.0),
+        256,
+    ),
+    "off-centre-outer": ([_circle(0.2, 0, 0.4)], [[0.2, 0]], _circle(0.3, 0.1, 1.0), 256),
+    "off-centre-anchor": ([_circle(0.2, 0, 0.4)], [[0.4, 0]], _circle(0, 0, 1.0), 256),
+}
+
+
+@pytest.mark.parametrize("holes, anchors, outer, degree", _SPLIT_CASES.values(), ids=_SPLIT_CASES)
+def test_split_gram_matches_the_plain_product(holes, anchors, outer, degree):
+    # Closed forms and FFT columns on circles about a block's centre, the
+    # product elsewhere, against one product of every sampled row.  The
+    # centred hole puts two modal blocks on the outer circle.  A wrong
+    # frequency moves both triangles by opposite amounts, so the residual
+    # is checked too.
+    dom = sl.domain_from_dict({"outer": outer, "holes": holes, "anchors": anchors})
+    blocks = sl.build_blocks(dom, degree)
+    nodes = _gram_nodes(dom, blocks)
+    gram, residual = sl.gram_dense(dom, blocks, nodes)
+    plain, _ = gram_dense_product(dom, blocks, nodes)
+    assert residual < 1e-12
+    d = np.sqrt(np.diag(plain).real)
+    assert np.max(np.abs(gram - plain) / np.outer(d, d)) < 1e-12
+    assert pivoted_cholesky(gram)[1].shape[1] == pivoted_cholesky(plain)[1].shape[1]
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [sl.ellipse(semi_axes=(1.0, 0.6)), sl.Domain(sl.BoundaryCurve({1: 1.0, 2: 0.3}))],
+    ids=["ellipse", "limacon"],
+)
+def test_gram_without_a_modal_block_is_the_plain_product(dom):
+    blocks = sl.build_blocks(dom, 128)
+    nodes = _gram_nodes(dom, blocks)
+    gram, residual = sl.gram_dense(dom, blocks, nodes)
+    plain, plain_residual = gram_dense_product(dom, blocks, nodes)
+    assert np.array_equal(gram, plain) and residual == plain_residual
+
+
+@given(
+    pole=st.booleans(),
+    orientation=st.sampled_from([1, -1]),
+    center=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    radius=st.floats(0.5, 2.0),
+    ratio=st.floats(0.8, 1.25),
+    phase=st.floats(0.0, 2 * np.pi),
+    start=st.integers(0, 8),
+    count=st.integers(1, 64),
+    nodes=st.integers(16, 200),
+)
+def test_modal_rows_match_the_sampled_rows(
+    pole, orientation, center, radius, ratio, phase, start, count, nodes
+):
+    c = complex(*center)
+    curve = sl.BoundaryCurve({0: c, orientation: radius * np.exp(1j * phase)}, nodes=nodes)
+    block = dirichlet.BasisBlock(
+        kind="pole" if pole else "monomial",
+        center=c,
+        scale=radius * ratio,
+        start=start + 2 * pole,
+        count=count,
+    )
+    alpha, f, beta = dirichlet._modal_rows(block, curve)
+    # e^{i f t_n} with the argument reduced exactly
+    modes = np.exp(2j * np.pi * (np.multiply.outer(f, np.arange(nodes)) % nodes) / nodes)
+    weighted = block.evaluate(curve.points, 0) * curve.complex_weights
+    primitives = block.evaluate(curve.points, -1)
+    for sampled, closed in ((weighted, alpha), (primitives, beta)):
+        gap = np.abs(sampled - closed[:, None] * modes) / np.abs(closed)[:, None]
+        assert np.max(gap) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "holes, anchors",
+    [([_ELLIPSE], [[0.2, 0]]), ([_POLYGON], [[0.2, 0]]), ([_circle(0.2, 0, 0.4)], [[0.4, 0]])],
+    ids=["ellipse-hole", "polygon-2to1", "off-centre-anchor"],
+)
+def test_residual_guard_fires_on_too_few_nodes(holes, anchors):
+    # At degree 512 these holes need 2n + 64 = 2112 nodes.  On 1090, the
+    # highest-power count, the sampled pole rows alias; the two triangles
+    # are separate sums (FFT columns against the modal outer monomials, the
+    # product on the hole), so they disagree far beyond roundoff.
+    dom = sl.domain_from_dict({"outer": _circle(0, 0, 1.0), "holes": holes, "anchors": anchors})
+    _, residual = sl.gram_dense(dom, sl.build_blocks(dom, 512), 1090)
+    assert residual > 1e-10
 
 
 _parts = st.one_of(

@@ -1,6 +1,7 @@
 """Factorization and determinant helpers against plain numpy routes."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -74,6 +75,16 @@ def test_equilibrated_slogdet_survives_grading(rng):
     expected = base_log + 2.0 * np.sum(np.log(d))
     assert abs(sign - 1.0) < 1e-9
     assert abs(logabs - expected) < 1e-9 * abs(expected)
+
+
+@pytest.mark.parametrize("n", [1, 100, 257, 1024])
+def test_hermitize_is_the_plain_formula_bit_for_bit(rng, n):
+    # the tiles cover a partial last tile (257) and several full ones (1024)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    sym, res = hermitize(a)
+    adjoint = a.conj().T
+    assert np.array_equal(sym.view(np.uint64), (0.5 * (a + adjoint)).view(np.uint64))
+    assert res == float(np.max(np.abs(a - adjoint))) / float(np.max(np.abs(a)))
 
 
 def test_hermitize_reports_residual(rng):
