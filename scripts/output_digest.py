@@ -9,8 +9,10 @@ One ``sha256  name`` line per output:
   ``config/file.csv:column``, so a change that moves one column shows on
   that column's line alone;
 * the raw bytes of ``metric`` and ``metric_matrix(z, 3)`` at 1000 seeded
-  points of a degree-2048 ``annulus(0.5)`` model, one call per point, and of
-  its ``kernel_matrix`` between those points and the first 64 of them;
+  points of a degree-2048 ``annulus(0.5)`` model, one call per point, of
+  its ``kernel_matrix`` between those points and the first 64 of them, and
+  of kappa_1, kappa_2 and kappa_3 from ``curvature_profile(model, z,
+  orders=(1, 2, 3))`` at the same 1000 points;
 * the raw bytes of ``metric`` and ``metric_matrix(z, 2)`` at 64 seeded points
   of a degree-512 dense-route model of |z| < 1 minus B(0.2, 0.4);
 * the raw bytes of three geometry outputs: the nodes of ``annulus(0.5)``
@@ -87,10 +89,14 @@ def model_digests() -> list[str]:
     points = radii * np.exp(2j * np.pi * rng.random(1000))
     metric = np.array([model.metric(complex(z)) for z in points])
     matrices = np.array([model.metric_matrix(complex(z), 3) for z in points])
+    orders = (1, 2, 3)
+    profiles = [sl.curvature_profile(model, complex(z), orders=orders) for z in points]
+    kappas = np.array([[profile[n] for n in orders] for profile in profiles])
     return [
         _line(metric.tobytes(), "model.metric"),
         _line(matrices.tobytes(), "model.metric_matrix"),
         _line(model.kernel_matrix(points, points[:64]).tobytes(), "model.kernel_matrix"),
+        _line(kappas.tobytes(), "model.curvature_profile"),
     ]
 
 

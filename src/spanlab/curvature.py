@@ -21,7 +21,7 @@ from math import factorial, lgamma, log
 import numpy as np
 
 from .errors import CurvatureError
-from .linalg import equilibrated_slogdet
+from .linalg import equilibrate
 
 
 def burbea_bound(order: int) -> float:
@@ -47,13 +47,19 @@ def curvature_from_matrix(matrix: np.ndarray, order: int) -> float:
     derivative matrix.
     """
     s_matrix = np.asarray(matrix, dtype=complex)
+    return _curvature(s_matrix, *equilibrate(s_matrix[: order + 1, : order + 1]), order)
+
+
+def _curvature(s_matrix: np.ndarray, scaled: np.ndarray, log_d: np.ndarray, order: int) -> float:
+    """``curvature_from_matrix`` given ``equilibrate`` of a leading block at least n + 1 wide."""
     if s_matrix.shape[0] < order + 1 or s_matrix.shape[1] < order + 1:
         raise CurvatureError(f"need a {order + 1} x {order + 1} matrix for order {order}")
-    sub = s_matrix[: order + 1, : order + 1]
-    metric = float(sub[0, 0].real)
+    metric = float(s_matrix[0, 0].real)
     if metric <= 0.0:
         raise CurvatureError(f"metric value {metric} is not positive")
-    sign, log_abs_det = equilibrated_slogdet(sub)
+    sign, log_abs_det = np.linalg.slogdet(scaled[: order + 1, : order + 1])
+    sign = complex(sign)
+    log_abs_det = float(log_abs_det + 2.0 * np.sum(log_d[: order + 1]))
     phase_residual = float(abs(sign - 1.0))
     if abs(sign) > 0.5 and sign.real < 0.0:
         raise CurvatureError("negative determinant: matrix is not positive semidefinite")
@@ -72,10 +78,13 @@ def curvature_profile(source, z: complex, orders) -> dict[int, float]:
 
     ``source`` needs a ``metric_matrix(z, order)`` method returning the
     Hermitian matrix ``[s_{j kbar}(z)]``; kernel models and the closed-form
-    reference metrics all provide one.
+    reference metrics all provide one.  The matrix is equilibrated once,
+    and each order takes the determinant of a leading block: the same
+    entries that equilibrating that block alone would give.
     """
-    s_matrix = source.metric_matrix(z, max(orders))
-    return {n: curvature_from_matrix(s_matrix, n) for n in orders}
+    s_matrix = np.asarray(source.metric_matrix(z, max(orders)), dtype=complex)
+    scaled, log_d = equilibrate(s_matrix)
+    return {n: _curvature(s_matrix, scaled, log_d, n) for n in orders}
 
 
 def gaussian_curvature_fd_oracle(source, z: complex, h: float = 5e-4) -> float:

@@ -32,15 +32,19 @@ from the finer model's rows d..2d-1: ``eps_model`` is that tail, and
 
 Point evaluation goes through jets: ``BasisBlock.jet`` returns every derivative
 order up to ``n`` from one power ladder per block, and the model whitens the
-whole (size, n + 1) stack in one call, so the metric derivative matrix
+(size, n + 1) stack in one call, so the metric derivative matrix
 ``[s_{j kbar}]`` costs one ladder per block rather than one per block and
-order.  A ladder stops where the powers at every point are below ``sqrt(tiny)``
-and leaves exact zeros, so one point's evaluation does no subnormal arithmetic
-and gives the same outputs.  On the diagonal route ``metric_matrix`` and
-``kernel_matrix`` leave the trailing run of those zero rows out of the
-whitening and the product, which keeps every sum bit for bit.  The model
-checks first that the points are interior with ``Domain.inside``, a closed
-form when all curves are circles.
+order.  A ladder stops where the powers at every point are below
+``sqrt(tiny)``, and each later step covers only the rows it kept: the jet
+scales each order's live prefix and returns its extent, and on the diagonal
+route ``metric``, ``metric_matrix`` and ``kernel_matrix`` whiten and multiply
+up to the last live row alone.  So a point costs its live ladder, not the
+basis size: near the outer circle of ``annulus(0.5)`` at t = 1e-3 the pole
+block keeps 512 of its 65536 rows.  The rows left out are exact zeros,
+so no subnormal number is formed and every output is the same bit for bit;
+``metric`` pads its squares back to the whole length before the sum.  The
+model checks first that the points are interior with ``Domain.inside``, a
+closed form when all curves are circles.
 """
 
 from __future__ import annotations
@@ -90,23 +94,41 @@ def _ladder_rows(r: float, start: int, count: int) -> int:
     return int(min(count, max(1.0, np.log(_FLUSH) / np.log(r) - start + 3)))
 
 
+def _ladder_head(
+    base: np.ndarray, start: int, count: int, out: np.ndarray | None
+) -> np.ndarray:
+    """The nonzero leading rows of the ladder ``base**(start + i)``, i < count.
+
+    They are written to the top of ``out``, or to a fresh array of only the
+    rows that can reach ``_FLUSH`` when ``out`` is None.  The ladder stops
+    two rows after every power has fallen below ``_FLUSH``.  The rows are
+    one ``cumprod``, so once a row is zero every later one is; rows that
+    underflowed to zero before the stop, which only a base below about
+    1e-85 gives, are dropped too.
+    """
+    keep = _ladder_rows(float(np.abs(base).max(initial=0.0)), start, count)
+    head = np.empty((keep, base.size), dtype=complex) if out is None else out[:keep]
+    head[:] = base[None, :]
+    head[0] = _binary_powers(base, [start])[0]
+    np.cumprod(head, axis=0, out=head)
+    while keep and not head[keep - 1].any():
+        keep -= 1
+    return head[:keep]
+
+
 def _power_ladder(
     base: np.ndarray, start: int, count: int, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Array of shape (count, len(base)) holding base**(start + i), in ``out`` if given.
 
-    The ladder stops two rows after every power has fallen below ``_FLUSH``
-    and leaves the later rows exact zeros, so a one-point ladder forms no
-    subnormal number.  The kept rows are the same ``cumprod`` prefix, bit for
-    bit, and a dropped value's square is below one ulp of any sum it enters.
+    The rows past ``_ladder_head``'s are exact zeros, so a one-point ladder
+    forms no subnormal number.  The kept rows are the same ``cumprod``
+    prefix, bit for bit, and a dropped value's square is below one ulp of
+    any sum it enters.
     """
     out = np.empty((count, base.size), dtype=complex) if out is None else out
-    keep = _ladder_rows(float(np.max(np.abs(base), initial=0.0)), start, count)
-    head = out[:keep]
-    head[:] = base[None, :]
-    head[0] = _binary_powers(base, [start])[0]
-    np.cumprod(head, axis=0, out=head)
-    out[keep:] = 0.0
+    head = _ladder_head(base, start, count, out)
+    out[head.shape[0] :] = 0.0
     return out
 
 
@@ -130,43 +152,94 @@ class BasisBlock:
             return (z - self.center) / self.scale
         return self.scale / (z - self.center)
 
-    def jet(self, z, order: int, out: np.ndarray | None = None) -> np.ndarray:
+    def jet(self, z, order: int) -> np.ndarray:
         """(order + 1, count, len(z)) array of the derivatives of orders 0..order.
 
         One power ladder serves every order.  A monomial's order-j row is the
         ladder shifted down by j, times ``falling(m, j) / scale^j``; a pole's is
-        the ladder itself times ``(-1)^j rising(m, j) (z - a)^-j``.  The array
-        is ``out`` when given, overwritten.
+        the ladder itself times ``(-1)^j rising(m, j) (z - a)^-j``.  Only the
+        rows up to the ladder's end are computed (``_write_jet``); the rest
+        are zeros.
         """
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        u = self.base(z)
-        if out is None:
-            out = np.zeros((order + 1, self.count, z.size), dtype=complex)
-        else:
-            out.fill(0.0)
-        powers = self.powers
-        factorial = np.ones(self.count)  # falling(m, j) or rising(m, j)
-        if self.kind == "monomial":
-            low = max(self.start - order, 0)
-            ladder = _power_ladder(u, low, self.start + self.count - low)
-            for j in range(order + 1):
+        out = np.zeros((order + 1, self.count, z.size), dtype=complex)
+        self._write_jet(z, order, out, [0] * (order + 1), {})
+        return out
+
+    def _coefficients(self, order: int, rows: int, memo: dict) -> np.ndarray:
+        """Table of the jet's factors, rows 0..order and at least ``rows`` columns.
+
+        Row j holds ``falling(m, j) / scale^j`` for a monomial block and
+        ``(-1)^j rising(m, j)`` for a pole block, as complex numbers, the
+        type numpy would cast them to in the product with the ladder.  One
+        table per block is kept in ``memo`` and serves every call it covers:
+        each entry is computed on its own, so a smaller table is its leading
+        part, bit for bit.  A call it does not cover replaces it.
+        """
+        table = memo.get("table")
+        if table is not None and table.shape[0] > order and table.shape[1] >= rows:
+            return table
+        if table is not None:
+            order, rows = max(order, table.shape[0] - 1), max(rows, table.shape[1])
+        powers = np.arange(self.start, self.start + rows)
+        factorial = np.ones(rows)
+        table = memo["table"] = np.empty((order + 1, rows), dtype=complex)
+        for j in range(order + 1):
+            if self.kind == "monomial":
                 if j:
                     factorial *= powers - (j - 1)
-                first = max(0, j - self.start)
-                if first >= self.count:
-                    continue
-                coeff = factorial[first:] / self.scale**j
-                top = self.start + first - j - low
-                rows = ladder[top : top + self.count - first]
-                np.multiply(coeff[:, None], rows, out=out[j, first:])
-            return out
-        _power_ladder(u, self.start, self.count, out=out[0])
+                table[j] = factorial / self.scale**j
+            else:
+                if j:
+                    factorial *= powers + (j - 1)
+                table[j] = (-1.0) ** j * factorial
+        return table
+
+    def _write_jet(
+        self, z: np.ndarray, order: int, out: np.ndarray, stale: Sequence[int], memo: dict
+    ) -> list[int]:
+        """Write ``jet(z, order)`` into ``out`` and return each order's extent.
+
+        Order j's rows from ``extents[j]`` on are zero: the ladder keeps its
+        nonzero rows alone (``_ladder_head``), so a point costs the rows its
+        ladder holds, not the block size.  Only the rows below the extents
+        are written and scaled, each bit for bit as on the whole block, by
+        factors from ``_coefficients`` and its ``memo``.  Of the other rows,
+        those below ``stale[j]`` are zeroed and the rest must be zero already.
+        Row ``max(extents) - 1`` is nonzero in some order, so the extents are
+        the block's live rows without a scan.
+        """
+        u = self.base(z)
+        if self.kind == "monomial":
+            low = max(self.start - order, 0)
+            ladder = _ladder_head(u, low, self.start + self.count - low, None)
+            lag = self.start - low  # row i of order j is ladder row i + lag - j
+            kept = ladder.shape[0]
+            extents = [
+                min(self.count, max(kept - lag + j, 0)) if kept else 0 for j in range(order + 1)
+            ]
+            table = self._coefficients(order, max(extents), memo)
+            for j, extent in enumerate(extents):
+                first = max(0, j - self.start)  # rows below it are powers below j
+                if first < extent:
+                    rows = ladder[first + lag - j : extent + lag - j]
+                    np.multiply(table[j, first:extent, None], rows, out=out[j, first:extent])
+                if first and stale[j]:
+                    out[j, : min(first, stale[j])] = 0.0
+                if stale[j] > max(first, extent):
+                    out[j, max(first, extent) : stale[j]] = 0.0
+            return extents
+        extent = _ladder_head(u, self.start, self.count, out[0]).shape[0]
+        head = out[:, :extent]
+        table = self._coefficients(order, extent, memo)
+        offset = z - self.center
         for j in range(1, order + 1):
-            factorial *= powers + (j - 1)
-            coeff = (-1.0) ** j * factorial
-            np.multiply(coeff[:, None], out[0], out=out[j])
-            out[j] *= ((z - self.center) ** (-j))[None, :]
-        return out
+            np.multiply(table[j, :extent, None], head[0], out=head[j])
+            head[j] *= (offset ** (-j))[None, :]
+        for j in range(order + 1):
+            if stale[j] > extent:
+                out[j, extent : stale[j]] = 0.0
+        return [extent] * (order + 1)
 
     def evaluate(self, z, order: int = 0) -> np.ndarray:
         """(count, len(z)) array of order-th derivatives; order=-1 gives primitives."""
@@ -569,21 +642,6 @@ class GramFactorization:
         return whiten_cholesky(self.L, self.perm, vectors)
 
 
-def _live_rows(rows: np.ndarray, counts: Sequence[int]) -> int:
-    """Number of rows left once the trailing run of zero rows is dropped.
-
-    ``rows`` holds blocks of ``counts`` rows; the scan starts at the last
-    block and stops in the first block, from the end, with a nonzero row.
-    """
-    stop = rows.shape[0]
-    for count in reversed(counts):
-        nonzero = np.flatnonzero(np.any(rows[stop - count : stop], axis=1))
-        if nonzero.size:
-            return stop - count + int(nonzero[-1]) + 1
-        stop -= count
-    return 0
-
-
 class KernelModel:
     """A computable reduced Bergman kernel: basis blocks plus Gram factorization."""
 
@@ -594,7 +652,9 @@ class KernelModel:
         self.blocks = list(blocks)
         self.factorization = factorization
         self.meta: dict = {}
-        self._scratch: dict[int, np.ndarray] = {}  # see metric_matrix
+        self._spans = _spans(self.blocks)
+        self._factors: list[dict] = [{} for _ in self.blocks]  # see BasisBlock._coefficients
+        self._scratch: dict[int, tuple] = {}  # see _whitened_jet
         self._watched: dict[tuple[complex, int], np.ndarray] = {}  # see build_model
 
     def _require_interior(self, pts: np.ndarray) -> None:
@@ -611,19 +671,35 @@ class KernelModel:
     def eps_model(self) -> float:
         return float(self.meta.get("eps_model", np.nan))
 
-    def _live(self, rows: np.ndarray) -> np.ndarray:
-        """``rows`` without the trailing zero rows, on a diagonal factorization.
+    def _live(self, extents: Sequence[Sequence[int]]) -> int:
+        """Rows of the stacked jet to whiten, from each block's ``_write_jet`` extents.
 
-        Those rows are the last block's ladder below ``sqrt(tiny)``; dropping
+        On a diagonal factorization that is up to the last row nonzero in
+        some order: the rows after it are the last live block's ladder below
+        ``sqrt(tiny)`` and the blocks after that, all zeros, and dropping
         them, and only them, leaves every sum of the products bit for bit.
+        A triangular whitening mixes the rows, so there it is every row.
         """
         if self.factorization.kind != "diagonal":
-            return rows
-        return rows[: _live_rows(rows, [b.count for b in self.blocks])]
+            return self.size
+        live = 0
+        for span, extent in zip(self._spans, extents):
+            if max(extent):
+                live = span.start + max(extent)
+        return live
+
+    def _values(self, pts: np.ndarray) -> tuple[np.ndarray, int]:
+        """Basis values at ``pts``, shape (size, len(pts)), and the rows to whiten."""
+        values = np.zeros((self.size, pts.size), dtype=complex)
+        extents = [
+            b._write_jet(pts, 0, values[None, span], [0], memo)
+            for b, span, memo in zip(self.blocks, self._spans, self._factors)
+        ]
+        return values, self._live(extents)
 
     def _whitened_values(self, pts: np.ndarray) -> np.ndarray:
-        values = self._live(evaluate_blocks(self.blocks, pts))
-        return _flush_tiny(self.factorization.whiten(values))
+        values, live = self._values(pts)
+        return _flush_tiny(self.factorization.whiten(values[:live]))
 
     def kernel_matrix(self, z, zeta) -> np.ndarray:
         """Matrix of kernel values, entry [i, j] = K(z_i, zeta_j).
@@ -644,12 +720,21 @@ class KernelModel:
         return wz[:rows].T @ ww[:rows].conj()
 
     def metric(self, z):
-        """Span metric s(z) = pi K(z, z); returns a float for scalar input."""
+        """Span metric s(z) = pi K(z, z); returns a float for scalar input.
+
+        Only the live rows (``_live``) are whitened and squared.  The squares
+        are then padded with zeros to the whole whitening's length before
+        the sum, since numpy's pairwise sum groups a shorter one differently.
+        """
         scalar = np.isscalar(z) or np.asarray(z).ndim == 0
         pts = np.atleast_1d(np.asarray(z, dtype=complex))
         self._require_interior(pts)
-        w = self.factorization.whiten(evaluate_blocks(self.blocks, pts))
-        values = np.pi * np.sum(np.abs(w) ** 2, axis=0)
+        values, live = self._values(pts)
+        squares = np.abs(self.factorization.whiten(values[:live])) ** 2
+        missing = self.factorization.rank - squares.shape[0]
+        if missing:
+            squares = np.concatenate([squares, np.zeros((missing, pts.size))])
+        values = np.pi * np.sum(squares, axis=0)
         return float(values[0]) if scalar else values
 
     def _whitened_jet(self, z: complex, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -658,16 +743,24 @@ class KernelModel:
         The jets, and then the conjugate, go into one array kept per order and
         reused (so two threads must not share a model here): fresh arrays,
         about 1 MB at degree 2048, can cost a page fault per 4 KB on each
-        call.  ``U`` ends after the last basis function that is nonzero at z
-        in some order (``_live``).
+        call.  Each block writes only its live rows and zeroes what the last
+        call left past them (``BasisBlock._write_jet``): its own rows and
+        the conjugate's.  ``U`` ends at the rows ``_live`` gives.
         """
-        self._require_interior(np.array([z], dtype=complex))
+        pt = np.array([z], dtype=complex)
+        self._require_interior(pt)
         if order not in self._scratch:
-            self._scratch[order] = np.empty((order + 1, self.size, 1), dtype=complex)
-        jet = self._scratch[order]
-        for b, stop in zip(self.blocks, np.cumsum([b.count for b in self.blocks])):
-            b.jet([z], order, out=jet[:, stop - b.count : stop])
-        u = self.factorization.whiten(self._live(jet[:, :, 0].T)).T
+            stale = [[0] * (order + 1) for _ in self.blocks]
+            self._scratch[order] = (np.zeros((order + 1, self.size, 1), dtype=complex), stale)
+        jet, stale = self._scratch[order]
+        extents = [
+            b._write_jet(pt, order, jet[:, span], rows, memo)
+            for b, span, rows, memo in zip(self.blocks, self._spans, stale, self._factors)
+        ]
+        u = self.factorization.whiten(jet[:, : self._live(extents), 0].T).T
+        for q, span in enumerate(self._spans):
+            conjugated = min(max(u.shape[1] - span.start, 0), span.stop - span.start)
+            stale[q] = [max(extent, conjugated) for extent in extents[q]]
         return u, np.conjugate(u, out=jet[:, : u.shape[1], 0])
 
     def metric_matrix(self, z: complex, order: int) -> np.ndarray:

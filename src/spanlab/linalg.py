@@ -1,4 +1,4 @@
-"""Dense Hermitian helpers: pivoted Cholesky and equilibrated log-determinants.
+"""Dense Hermitian helpers: pivoted Cholesky and equilibration for log-determinants.
 
 These are the only linear-algebra kernels the model layer needs; everything is
 kept explicit (no hidden regularization) so the factorization diagnostics can
@@ -51,6 +51,12 @@ def pivoted_cholesky(a: np.ndarray):
     stops at the first pivot at or below 1e-13 times the largest diagonal
     entry.  ``pivots`` holds the accepted pivot values in order, so
     ``pivots[0] / pivots[-1]`` estimates the retained condition number.
+
+    ``L`` is C-ordered, one copy of ``zpstrf``'s Fortran-ordered output
+    with the strict upper triangle then zeroed row by row in place.  The
+    layout matters: ``solve_triangular`` takes a different LAPACK path for a
+    Fortran-ordered factor, which moves a one-vector whitening in the last
+    bit.  ``zpstrf`` works on its own copy, so ``a`` is left as it was.
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
@@ -60,7 +66,9 @@ def pivoted_cholesky(a: np.ndarray):
     if top <= 0.0:
         return np.arange(n), np.zeros((n, 0), dtype=complex), np.zeros(0)
     c, piv, rank, _ = zpstrf(a, tol=1e-13 * top, lower=1)
-    L = np.tril(c[:, :rank])
+    L = np.ascontiguousarray(c[:, :rank])
+    for i in range(rank - 1):
+        L[i, i + 1 :] = 0.0
     return piv - 1, L, np.abs(np.diagonal(L)) ** 2
 
 
@@ -79,17 +87,18 @@ def whiten_cholesky(L: np.ndarray, perm: np.ndarray, vectors: np.ndarray) -> np.
     return out[:, 0] if single else out
 
 
-def equilibrated_slogdet(a: np.ndarray) -> tuple[complex, float]:
-    """Sign and log-magnitude of ``det A`` after symmetric diagonal equilibration.
+def equilibrate(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``A`` with rows and columns scaled by ``1/d_j = 1/sqrt(|a_jj|)``, and ``log d``.
 
-    Rows and columns are scaled by ``1/sqrt(|a_jj|)`` before the LU-based
-    ``slogdet``; the scaling is undone in log space.  This keeps determinants
-    of severely graded matrices (boundary-limit derivative matrices grow like
-    ``dist^{-(2+j+k)}``) inside double-precision range.
+    An LU-based ``slogdet`` of the result plus ``2 sum(log d)`` is the
+    log-determinant of ``A``, which keeps determinants of severely graded
+    matrices (boundary-limit derivative matrices grow like
+    ``dist^{-(2+j+k)}``) inside double-precision range.  A zero diagonal
+    entry keeps ``d_j = 1``.  Each entry is scaled on its own, so a leading
+    block of the result is the equilibration of the leading block of
+    ``A``, bit for bit.
     """
     a = np.asarray(a, dtype=complex)
     d = np.sqrt(np.abs(np.real(np.diagonal(a))))
     d = np.where(d > 0.0, d, 1.0)
-    scaled = a / np.outer(d, d)
-    sign, logdet = np.linalg.slogdet(scaled)
-    return complex(sign), float(logdet + 2.0 * np.sum(np.log(d)))
+    return a / np.outer(d, d), np.log(d)

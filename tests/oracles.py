@@ -19,7 +19,10 @@ can hold the package's result against it:
 * ``halfdisk_density`` and ``half_disk_lens``: the half-disk's closed-form
   density, against the lens uniformization of the same region;
 * ``kernel_coefficients``: the coefficients of ``K(., zeta)`` in a diagonal
-  model's basis, for the reproducing identity.
+  model's basis, for the reproducing identity;
+* ``jet_full_count`` and the ``*_full_count`` model outputs: every order of
+  every basis function over the whole block, whitened and multiplied
+  untrimmed, against the jets that stop at the ladder's extent.
 """
 
 from __future__ import annotations
@@ -29,7 +32,14 @@ from typing import Sequence
 
 import numpy as np
 
-from spanlab.dirichlet import BasisBlock, KernelModel, _flush_tiny, block_sizes, evaluate_blocks
+from spanlab.dirichlet import (
+    BasisBlock,
+    KernelModel,
+    _flush_tiny,
+    _power_ladder,
+    block_sizes,
+    evaluate_blocks,
+)
 from spanlab.domains import BoundaryCurve, Domain, rotation_center
 from spanlab.errors import ConfigError, DomainError, QuadratureError
 from spanlab.reference import LensMetric
@@ -235,3 +245,64 @@ def kernel_coefficients(model: KernelModel, zeta: complex) -> np.ndarray:
     """Coefficients beta with K(., zeta) = sum_j beta_j g_j, on a diagonal Gram."""
     v = evaluate_blocks(model.blocks, [zeta])[:, 0]
     return np.conj(v / model.factorization.diag)
+
+
+def jet_full_count(block: BasisBlock, z, order: int) -> np.ndarray:
+    """``block.jet(z, order)`` with every order scaled over all ``count`` rows.
+
+    The full-count route that ``BasisBlock.jet`` took before it stopped at
+    the ladder's extent: the whole ladder, zeros past its end included, is
+    multiplied by every order's factors.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    u = block.base(z)
+    out = np.zeros((order + 1, block.count, z.size), dtype=complex)
+    powers = block.powers
+    factorial = np.ones(block.count)  # falling(m, j) or rising(m, j)
+    if block.kind == "monomial":
+        low = max(block.start - order, 0)
+        ladder = _power_ladder(u, low, block.start + block.count - low)
+        for j in range(order + 1):
+            if j:
+                factorial *= powers - (j - 1)
+            first = max(0, j - block.start)
+            if first >= block.count:
+                continue
+            coeff = factorial[first:] / block.scale**j
+            top = block.start + first - j - low
+            rows = ladder[top : top + block.count - first]
+            np.multiply(coeff[:, None], rows, out=out[j, first:])
+        return out
+    _power_ladder(u, block.start, block.count, out=out[0])
+    for j in range(1, order + 1):
+        factorial *= powers + (j - 1)
+        coeff = (-1.0) ** j * factorial
+        np.multiply(coeff[:, None], out[0], out=out[j])
+        out[j] *= ((z - block.center) ** (-j))[None, :]
+    return out
+
+
+def _stacked_full_count(model: KernelModel, z, order: int) -> np.ndarray:
+    """(order + 1, size, len(z)) jets of all basis functions over whole blocks."""
+    return np.concatenate([jet_full_count(b, z, order) for b in model.blocks], axis=1)
+
+
+def metric_full_count(model: KernelModel, z) -> np.ndarray:
+    """``model.metric`` at each point, summed over the whole whitening."""
+    w = model.factorization.whiten(_stacked_full_count(model, z, 0)[0])
+    return np.pi * np.sum(np.abs(w) ** 2, axis=0)
+
+
+def metric_matrix_full_count(model: KernelModel, z: complex, order: int) -> np.ndarray:
+    """``model.metric_matrix`` as ``pi U U^*`` with every row of ``U``."""
+    u = model.factorization.whiten(_stacked_full_count(model, [z], order)[:, :, 0].T).T
+    return np.pi * (u @ u.conj().T)
+
+
+def kernel_matrix_full_count(model: KernelModel, z, zeta) -> np.ndarray:
+    """``model.kernel_matrix`` from flushed whitened values with every row."""
+    wz, wzeta = (
+        _flush_tiny(model.factorization.whiten(_stacked_full_count(model, pts, 0)[0]))
+        for pts in (z, zeta)
+    )
+    return wz.T @ wzeta.conj()

@@ -105,3 +105,37 @@ def test_metric_derivative_matrix_helper(annulus_model):
     assert m.shape == (3, 3)
     assert np.allclose(m, m.conj().T)
     assert m[0, 0].real == pytest.approx(annulus_model.metric(0.75 + 0.0j))
+
+
+def test_profile_is_the_per_order_curvature_bit_for_bit(annulus_model, rng):
+    # One equilibration of the order-3 matrix serves every order: its leading
+    # blocks are the equilibrations of the leading blocks.
+    radii = rng.uniform(0.55, 0.95, 40)
+    for z in radii * np.exp(2j * np.pi * rng.random(40)):
+        matrix = annulus_model.metric_matrix(complex(z), 3)
+        profile = sl.curvature_profile(annulus_model, complex(z), orders=(1, 2, 3))
+        for n in (1, 2, 3):
+            want = sl.curvature_from_matrix(matrix, n)
+            assert np.float64(profile[n]).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
+class _FixedMatrix:
+    def __init__(self, matrix):
+        self.matrix = np.asarray(matrix, dtype=complex)
+
+    def metric_matrix(self, z, order):
+        return self.matrix
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[0.0, 0.0], [0.0, 1.0]], "is not positive"),
+        ([[1.0, 3.0], [3.0, 1.0]], "not positive semidefinite"),
+        ([[1.0, 1.0], [1.0j, 1.0]], "phase residual"),
+        ([[1.0]], "need a 2 x 2 matrix"),
+    ],
+)
+def test_profile_keeps_every_per_order_check(matrix, message):
+    with pytest.raises(sl.CurvatureError, match=message):
+        sl.curvature_profile(_FixedMatrix(matrix), 0.0, orders=(1,))

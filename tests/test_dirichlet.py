@@ -21,7 +21,11 @@ from oracles import (
     gram_area_circular,
     gram_dense_product,
     inverted_domain,
+    jet_full_count,
     kernel_coefficients,
+    kernel_matrix_full_count,
+    metric_full_count,
+    metric_matrix_full_count,
 )
 
 import spanlab as sl
@@ -383,6 +387,92 @@ def test_jet_matches_analytic_derivatives(kind, start, count, order, scale, radi
             want = _analytic_derivative(block, z, int(m), j)
             assert np.all(np.abs(jet[j, i] - want) <= 1e-13 * np.abs(want)), (j, m)
         assert np.array_equal(block.evaluate(z, j), block.jet(z, j)[j])
+
+
+# Moduli of the base from the centre (0) to just below 1, where no row is cut.
+_moduli = st.one_of(st.sampled_from([0.0, 1e-120, 1e-3, 0.9999]), st.floats(0.0, 0.9999))
+
+
+@pytest.mark.parametrize("kind", ["monomial", "pole"])
+@pytest.mark.parametrize("order", range(4))
+@given(
+    start=st.integers(0, 3),
+    count=st.integers(1, 4096),
+    moduli=st.one_of(st.lists(_moduli, min_size=1, max_size=1), st.lists(_moduli, min_size=2, max_size=6)),
+    angle=st.floats(0.0, 2 * np.pi),
+)
+def test_trimmed_jet_is_the_full_count_jet(kind, order, start, count, moduli, angle):
+    center, scale = 0.3 - 0.2j, 0.7
+    block = sl.BasisBlock(kind=kind, center=center, scale=scale, start=start, count=count)
+    # base u; a pole block's base is never 0, so its smallest modulus is 1e-3
+    u = np.array(moduli) * np.exp(1j * (angle + np.arange(len(moduli))))
+    if kind == "pole":
+        u = np.where(np.abs(u) < 1e-3, 1e-3, u)
+    z = center + (scale * u if kind == "monomial" else scale / u)
+    want = jet_full_count(block, z, order)
+    assert np.array_equal(block.jet(z, order), want)
+    # One array through a ladder that shrinks, then grows back.  It starts
+    # as garbage, all of it stale; after that only the last extents are.
+    out = np.full_like(want, np.nan)
+    memo, stale = {}, [count] * (order + 1)
+    for points in (z, center + (z - center) * (0.5 if kind == "monomial" else 2.0), z):
+        stale = block._write_jet(points, order, out, stale, memo)
+        want = jet_full_count(block, points, order)
+        assert np.array_equal(out, want)
+        for j, extent in enumerate(stale):
+            assert not np.any(want[j, extent:])
+        if max(stale):
+            assert np.any(want[:, max(stale) - 1])
+
+
+def _shrink_and_grow(radii, angle=0.4):
+    """Points whose live extents shrink and grow from call to call."""
+    return [complex(r * np.exp(1j * angle * (k + 1))) for k, r in enumerate(radii)]
+
+
+def _diagonal_model(domain, degree):
+    blocks = sl.build_blocks(domain, degree)
+    return sl.KernelModel(domain, blocks, sl.GramFactorization.from_diagonal(sl.gram_diagonal(domain, blocks)))
+
+
+def _eccentric_model(degree):
+    domain = sl.domain_from_dict(
+        {
+            "outer": {"kind": "circle", "center": [0.0, 0.0], "radius": 1.0},
+            "holes": [{"kind": "circle", "center": [0.2, 0.0], "radius": 0.4}],
+            "anchors": [[0.2, 0.0]],
+        }
+    )
+    blocks = sl.build_blocks(domain, degree)
+    gram, _ = sl.gram_dense(domain, blocks, _gram_nodes(domain, blocks))
+    return sl.KernelModel(domain, blocks, sl.GramFactorization.from_dense(gram))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["disk", "annulus-2048", "annulus-65536", "dense-eccentric"],
+)
+def test_model_outputs_are_the_full_count_outputs(name):
+    if name == "disk":
+        model = _diagonal_model(sl.disk(), 512)
+        points = _shrink_and_grow([0.9, 0.0, 0.99, 0.1, 1e-9, 0.6])
+    elif name.startswith("annulus"):
+        model = _diagonal_model(sl.annulus(0.5), int(name.split("-")[1]))
+        points = _shrink_and_grow([0.75, 0.999, 0.52, 0.9, 0.5005, 0.62])
+    else:
+        # The hole is |z - 0.2| <= 0.4.  At degree 256 the monomial ladder is
+        # cut only near -0.21, and twice in a row there the triangular
+        # whitening's conjugate, left in the reused array, lies past the jet.
+        model = _eccentric_model(256)
+        points = [0.9 + 0.0j, -0.21 + 0.0j, -0.205 + 0.03j, 0.97j, -0.6 + 0.2j, 0.3 - 0.95j]
+    for z in points:
+        assert np.array_equal(model.metric(z), metric_full_count(model, [z])[0])
+        for order in range(4):
+            assert np.array_equal(model.metric_matrix(z, order), metric_matrix_full_count(model, z, order))
+    pts, other = np.array(points), np.array(points[::-2])
+    assert np.array_equal(model.metric(pts), metric_full_count(model, pts))
+    assert np.array_equal(model.kernel_matrix(pts, pts), kernel_matrix_full_count(model, pts, pts))
+    assert np.array_equal(model.kernel_matrix(pts, other), kernel_matrix_full_count(model, pts, other))
 
 
 @given(
@@ -869,8 +959,9 @@ def test_trimmed_products_equal_the_untrimmed(annulus_domain, monkeypatch, rng):
     other = rng.uniform(0.8, 0.9, 30) * np.exp(2j * np.pi * rng.random(30))
     live = []
     for pts in (near, other):
-        values = evaluate_blocks(blocks, pts)
-        live.append(dirichlet._live_rows(values, [2048, 2048]))
+        values, rows = model._values(pts)
+        assert np.array_equal(values, evaluate_blocks(blocks, pts))
+        live.append(rows)
         assert np.any(values[live[-1] - 1]) and not np.any(values[live[-1] :])
     assert max(live) < model.size and live[0] != live[1]
 
@@ -884,7 +975,7 @@ def test_trimmed_products_equal_the_untrimmed(annulus_domain, monkeypatch, rng):
         ]
 
     trimmed = outputs()
-    monkeypatch.setattr(dirichlet, "_live_rows", lambda rows, counts: rows.shape[0])
+    monkeypatch.setattr(sl.KernelModel, "_live", lambda self, extents: self.size)
     for got, want in zip(trimmed, outputs()):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 

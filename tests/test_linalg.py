@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg.lapack import zpstrf
 
 from spanlab.linalg import (
-    equilibrated_slogdet,
+    equilibrate,
     hermitize,
     pivoted_cholesky,
     whiten_cholesky,
@@ -42,6 +43,20 @@ def test_pivoted_cholesky_drops_deficient_rank(seed, shape):
     assert low.shape[1] == rank
 
 
+@pytest.mark.parametrize("n, rank", [(1, 1), (9, 9), (200, 120), (300, 300)])
+def test_pivoted_cholesky_factor_is_exactly_lower(rng, n, rank):
+    a = random_psd(rng, n, rank=rank)
+    before = a.copy()
+    _, low, _ = pivoted_cholesky(a)
+    assert np.array_equal(a.view(np.uint64), before.view(np.uint64))  # input untouched
+    assert low.flags.c_contiguous  # the layout that fixes solve_triangular's path
+    assert low.shape == (n, rank)
+    assert np.all(np.triu(low, 1) == 0.0)
+    top = float(np.max(np.real(np.diagonal(a))))
+    c, _, kept, _ = zpstrf(a, tol=1e-13 * top, lower=1)
+    assert np.array_equal(low.view(np.uint64), np.tril(c[:, :kept]).view(np.uint64))
+
+
 def test_whiten_gives_orthonormal_coordinates(rng):
     a = random_psd(rng, 9)
     perm, low, _ = pivoted_cholesky(a)
@@ -53,6 +68,13 @@ def test_whiten_gives_orthonormal_coordinates(rng):
     wy = whiten_cholesky(low, perm, y)
     direct = x.conj() @ np.linalg.solve(a, y)
     assert abs(np.vdot(wx, wy) - direct) < 1e-8 * (1 + abs(direct))
+
+
+def equilibrated_slogdet(a):
+    """Sign and log|det| of ``a`` through ``equilibrate``, as the curvatures take them."""
+    scaled, log_d = equilibrate(a)
+    sign, logdet = np.linalg.slogdet(scaled)
+    return complex(sign), float(logdet + 2.0 * np.sum(log_d))
 
 
 def test_equilibrated_slogdet_agrees_with_numpy(rng):

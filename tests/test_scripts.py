@@ -39,8 +39,9 @@ def test_output_digest_runs():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     # 5 run configs x (stdout, one line per CSV column, SVG), then metric,
-    # metric_matrix and kernel_matrix of a diagonal-route model, metric and
-    # metric_matrix of a dense-route one, and three geometry outputs
+    # metric_matrix, kernel_matrix and curvature_profile of a diagonal-route
+    # model, metric and metric_matrix of a dense-route one, and three
+    # geometry outputs
     lines = done.stdout.splitlines()
     assert all(len(line.split("  ")[0]) == 64 for line in lines)
     names = [line.split("  ")[1] for line in lines]
@@ -51,14 +52,15 @@ def test_output_digest_runs():
     assert len(csvs) == 5
     for csv in csvs:
         assert {f"{csv}:t", f"{csv}:degree", f"{csv}:eps_model"} <= set(names)
-    assert names[-8:] == [
+    assert names[-9:] == [
         "model.metric",
         "model.metric_matrix",
         "model.kernel_matrix",
+        "model.curvature_profile",
         "dense.metric",
         "dense.metric_matrix",
         "geometry.scaled_nodes",
         "geometry.clip_samples",
         "geometry.ellipse_feet",
     ]
-    assert len(lines) == 52
+    assert len(lines) == 53
